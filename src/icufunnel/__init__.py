@@ -26,7 +26,6 @@ from .constants import (
 )
 from .controller import (
     ControllerParams,
-    ControllerState,
     CZReport,
     DwellBounds,
     InfeasibleError,
@@ -46,8 +45,6 @@ from .model import (
     Scenario,
     State,
     derivatives,
-    ics_from_scenario,
-    vector_field,
 )
 from .simulator import (
     ChatteringError,
@@ -70,12 +67,12 @@ __all__ = [
     "__version__",
     # model
     "EpidemicParams", "InitialState", "CapacityPolicy", "Scenario", "State",
-    "derivatives", "vector_field", "ics_from_scenario",
+    "derivatives",
     # constants
     "DerivedConstants", "Condition", "AssumptionReport", "DerivationError",
     "derive_constants", "check_sigma", "check_sigma_rob",
     # controller
-    "ControllerParams", "ControllerState", "DwellBounds", "CZReport",
+    "ControllerParams", "DwellBounds", "CZReport",
     "QEvalDomainError", "QEvalRangeWarning", "InfeasibleError",
     "control_update", "q_eval", "in_CZ", "find_feasible_eps",
     "find_max_slack_eps", "dwell_lower_bounds",

