@@ -5,6 +5,7 @@ as ranges around values recomputed with an independent prototype, loose
 enough to survive solver version drift.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -227,6 +228,37 @@ class TestValidation:
         failed = {c.name for c in rep.checks if not c.passed}
         assert failed == {"a", "b", "d"}  # negative, drifted, below S floor
         assert rep.check("a").worst == (0.0, 1.0)
+
+    def test_exact_violations_c_to_g(self, dc):
+        # p = 1/2 makes check c's ratio exactly 1; the replaced constants
+        # give round magnitudes, and tol_compartment = 1 sits on two samples
+        sc = make_scenario(p=0.5)
+        dcx = dataclasses.replace(dc, S_min=0.0, zeta=3.0, psi_floor=0.5, phi_plus=44.0)
+        cp = ControllerParams(eps_plus=10.0, eps_minus=8.0, phi_plus=44.0)
+        total = sc.population()
+
+        def at(t, I_A, I_S, psi):
+            return State(S=total - I_A - I_S, I_A=I_A, I_S=I_S, R=0.0, D=0.0, psi=psi, t=t)
+
+        samples = (
+            at(0.0, 5.0, 2.0, 1.0),      # clean
+            at(1.0, 2.0, 10.0, 1.0),     # c: 10 - 2
+            at(2.0, 40.0, 4.0, 0.25),    # e: 40 - 12, f: 0.5 - 0.25
+            at(2.5, 100.0, 46.0, 1.5),   # f: 1.5 - 1, g: 46 - 44
+            at(3.0, 150.0, 44.0, 1.0),   # e: 150 - 132, g: on the bound
+            at(4.0, 1.0, 2.0, 1.0),      # c defect equals the tolerance
+            at(5.0, 7.0, 2.0, 1.0),      # e defect equals the tolerance
+        )
+        traj = Trajectory(samples=samples, events=(), u0=0)
+        rep = validate_trajectory(traj, sc, dcx, cp, tol_compartment=1.0)
+        assert [c.name for c in rep.checks if not c.passed] == list("cefg")
+        assert rep.check("c").violations == ((1.0, 8.0),)
+        assert rep.check("e").violations == ((2.0, 28.0), (3.0, 18.0))
+        assert rep.check("f").violations == ((2.0, 0.25), (2.5, 0.5))
+        assert rep.check("g").violations == ((2.5, 2.0), (3.0, 0.0))
+        assert rep.check("e").worst == (2.0, 28.0)
+        assert all(type(x) is float for c in rep.checks for tv in c.violations for x in tv)
+        assert not any(c.skipped for c in rep.checks)
 
     def test_tolerance_override(self, scenario, dc):
         bad = State(S=-1.0, I_A=0.0, I_S=0.0, R=0.0, D=0.0, psi=1.0, t=0.0)
