@@ -34,6 +34,9 @@ __all__ = [
 # Coordinates of the 18-dimensional scenario vector (see _scenario_vector).
 _UNIT = slice(0, 10)  # rate/fraction parameters, clipped to [0, 1]
 _PSI0 = 17  # also clipped to [0, 1]
+# Bisection steps on the probe radius: certified_delta is within
+# delta / 2**20 of the largest radius where every sample passes.
+_PROBE_BISECT_DEPTH = 20
 
 
 @dataclass(frozen=True)
@@ -143,7 +146,6 @@ def robustness_probe(
     delta: float,
     samples: int = 256,
     seed: int = 0,
-    bisect_depth: int = 20,
 ) -> RobustnessResult:
     """Sample scenario perturbations and test the fixed pair's admissibility.
 
@@ -186,7 +188,7 @@ def robustness_probe(
         certified = delta
     else:
         lo, hi = 0.0, delta  # all_pass(0) holds: zero radius reproduces the nominal
-        for _ in range(bisect_depth):
+        for _ in range(_PROBE_BISECT_DEPTH):
             mid = 0.5 * (lo + hi)
             if all_pass(mid):
                 lo = mid

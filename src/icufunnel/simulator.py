@@ -8,13 +8,20 @@ A sign change of the armed guard between solver knots is located by bisection
 on the dense output, the phase is truncated there, the mode flips, and
 integration restarts. Open-loop runs fix the input and arm no guard.
 
-Trajectories are sampled on the output grid plus every event instant, and
-validated after the fact against the analytically provable path properties.
+Each phase is sampled from its dense output: the output-grid rows inside
+the phase in one array call, and the closing row (an event or the horizon)
+in a scalar call, since that state also starts the next phase. The grid is
+the multiples of output_dt that do not pass the horizon, plus the horizon.
+The RK45 step cap is the module constant MAX_STEP_DAYS; there is no
+max_step setting. Trajectories are validated after the fact against the
+analytically provable path properties, each check one mask over the sample
+columns.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +47,11 @@ __all__ = [
 ]
 
 
+# Caps the RK45 step (days) so solver knots stay dense enough to bracket
+# every guard crossing: the armed guard is only tested at knots.
+MAX_STEP_DAYS = 1.0
+
+
 class IntegrationError(RuntimeError):
     """The ODE integrator failed inside a mode phase."""
 
@@ -56,10 +68,12 @@ class PreconditionError(ValueError):
 class SimConfig:
     """Integration settings.
 
+    Samples are taken at every multiple k * output_dt that does not pass the
+    horizon, plus the horizon itself when it is not such a multiple.
     open_loop_u, when set, fixes the input to that constant and bypasses
-    the controller entirely. max_step caps the RK45 step (days) so solver
-    knots stay dense enough to bracket every guard crossing; max_switches
-    bounds the event count as a chattering tripwire.
+    the controller entirely. max_switches bounds the event count as a
+    chattering tripwire. The RK45 step cap is the module constant
+    MAX_STEP_DAYS, not a setting.
     """
 
     horizon: float = 1000.0
@@ -69,7 +83,6 @@ class SimConfig:
     event_time_tol: float = 1e-9
     open_loop_u: int | None = None
     max_switches: int = 1_000_000
-    max_step: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.horizon > 0.0:
@@ -78,7 +91,7 @@ class SimConfig:
             raise ValueError(
                 f"output_dt must be in (0, horizon], got {self.output_dt!r}"
             )
-        for name in ("rtol", "atol", "event_time_tol", "max_step"):
+        for name in ("rtol", "atol", "event_time_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         if self.open_loop_u not in (None, 0, 1):
@@ -231,18 +244,11 @@ def simulate(
             events.append(SwitchEvent(t=0.0, u_new=1))
 
     n_whole = int(math.floor(cfg.horizon / cfg.output_dt + 1e-12))
-    grid = [k * cfg.output_dt for k in range(n_whole + 1)]
-    if grid[-1] < cfg.horizon:
-        grid.append(cfg.horizon)
-
-    def row(t: float, y) -> State:
-        return State(
-            S=float(y[0]), I_A=float(y[1]), I_S=float(y[2]),
-            R=float(y[3]), D=float(y[4]), psi=float(y[5]), t=t,
-        )
+    grid = [t for t in (k * cfg.output_dt for k in range(n_whole + 1)) if t < cfg.horizon]
+    grid.append(cfg.horizon)
 
     y_cur = np.array([ini.S0, ini.IA0, ini.IS0, ini.R0, ini.D0, ini.psi0], dtype=float)
-    samples: list[State] = [row(0.0, y_cur)]
+    samples: list[State] = [State(*y_cur.tolist(), t=0.0)]
     gi = 1  # grid[0] = 0 is covered by the initial row
     max_is = float(ini.IS0)
     t_cur = 0.0
@@ -259,14 +265,13 @@ def simulate(
 
         sol = solve_ivp(
             rhs, (t_cur, cfg.horizon), y_cur, method="RK45",
-            dense_output=True, rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step,
+            dense_output=True, rtol=cfg.rtol, atol=cfg.atol, max_step=MAX_STEP_DAYS,
         )
         if not sol.success:
             raise IntegrationError(f"integrator failed near t = {sol.t[-1]!r}: {sol.message}")
 
         # the phase ends where the relay would leave mode u (the armed
-        # guard), or else at the last grid time (the horizon, up to the
-        # grid's rounding)
+        # guard), or else at the horizon
         hit = None
         if not open_loop:
             is_knots = sol.y[2]
@@ -276,7 +281,7 @@ def simulate(
                     break
 
         if hit is None:
-            t_end = grid[-1]
+            t_end = cfg.horizon
         else:
             # bracket [a, b]: not yet crossed at a, crossed at b; shrink to tol
             a, b = float(sol.t[hit - 1]), float(sol.t[hit])
@@ -290,24 +295,22 @@ def simulate(
             if t_end <= t_cur:
                 raise ChatteringError(f"zero-length phase: event located at t = {t_end!r}")
 
-        max_is = max(max_is, float(sol.y[2][sol.t <= t_end].max()))
-        while gi < len(grid) and grid[gi] < t_end:
-            tg = grid[gi]
-            yg = sol.sol(tg)
-            samples.append(row(tg, yg))
-            max_is = max(max_is, float(yg[2]))
-            gi += 1
-        if gi < len(grid) and grid[gi] == t_end:
-            gi += 1  # the closing row takes the grid row's place
-
+        # grid rows strictly inside the phase in one dense-output call; the
+        # closing row is a scalar call, because it also starts the next phase
+        gj = bisect_left(grid, t_end, gi)
+        ts = grid[gi:gj]
+        ys = sol.sol(np.array(ts)) if ts else np.empty((6, 0))
+        samples.extend(State(*y, t=t) for t, y in zip(ts, ys.T.tolist()))
         y_end = sol.sol(t_end)
-        samples.append(row(t_end, y_end))
-        max_is = max(max_is, float(y_end[2]))
+        samples.append(State(*y_end.tolist(), t=t_end))
+        phase_is = np.concatenate((sol.y[2][sol.t <= t_end], ys[2], y_end[2:3]))
+        max_is = max(max_is, float(phase_is.max()))
         if hit is None:
             break
+        gi = bisect_right(grid, t_end, gj)  # the closing row takes an equal grid row's place
         u = 1 - u
         events.append(SwitchEvent(t=t_end, u_new=u))
-        y_cur = np.asarray(y_end, dtype=float)
+        y_cur = y_end
         t_cur = t_end
 
     traj = Trajectory(samples=tuple(samples), events=tuple(events), u0=u0)
@@ -383,7 +386,12 @@ def validate_trajectory(
     total = scenario.population()
     tol_c = 1e-6 * total if tol_compartment is None else tol_compartment
     psi0 = traj.samples[0].psi
+    t, S, I_A, I_S, R, D, psi = np.array([(s.t, *s.as_tuple()) for s in traj.samples]).T
     checks: list[ValidationCheck] = []
+
+    def over(defect, tol: float = tol_c, strict: bool = True) -> list[tuple[float, float]]:
+        hit = defect > tol if strict else defect >= tol
+        return list(zip(t[hit].tolist(), defect[hit].tolist()))
 
     def add(name: str, description: str, violations: list[tuple[float, float]],
             skipped: bool = False) -> None:
@@ -392,48 +400,21 @@ def validate_trajectory(
             passed=not violations, violations=tuple(violations), skipped=skipped,
         ))
 
-    viol_a: list[tuple[float, float]] = []
-    viol_b: list[tuple[float, float]] = []
-    viol_c: list[tuple[float, float]] = []
-    viol_d: list[tuple[float, float]] = []
-    viol_e: list[tuple[float, float]] = []
-    viol_f: list[tuple[float, float]] = []
-    viol_g: list[tuple[float, float]] = []
-    ratio = (1.0 - pm.p) / pm.p if pm.p > 0.0 else math.inf
-    for s in traj.samples:
-        neg = -min(s.S, s.I_A, s.I_S, s.R, s.D)
-        if neg > tol_c:
-            viol_a.append((s.t, neg))
-        drift = abs(s.S + s.I_A + s.I_S + s.R + s.D - total)
-        if drift > tol_c:
-            viol_b.append((s.t, drift))
-        if pm.p > 0.0:
-            defect = ratio * s.I_S - s.I_A
-            if defect > tol_c:
-                viol_c.append((s.t, defect))
-        defect = dc.S_min - s.S
-        if defect > tol_c:
-            viol_d.append((s.t, defect))
-        defect = s.I_A - dc.zeta * s.I_S
-        if defect > tol_c:
-            viol_e.append((s.t, defect))
-        if psi0 == 1.0:
-            defect = max(dc.psi_floor - s.psi, s.psi - 1.0)
-            if defect > tol_psi:
-                viol_f.append((s.t, defect))
-        if cp is not None and s.I_S >= dc.phi_plus:
-            viol_g.append((s.t, s.I_S - dc.phi_plus))
-
-    add("a", "compartments non-negative", viol_a)
-    add("b", "population conserved", viol_b)
-    add("c", "mild cases at least (1-p)/p of severe", viol_c, skipped=pm.p <= 0.0)
-    add("d", "susceptibles above the floor S_min", viol_d)
-    add("e", "mild cases at most zeta times severe", viol_e)
-    add("f", "response level within [psi_floor, 1]", viol_f, skipped=psi0 != 1.0)
-    add("g", "severe cases strictly below capacity", viol_g, skipped=cp is None)
+    add("a", "compartments non-negative", over(-np.minimum.reduce((S, I_A, I_S, R, D))))
+    add("b", "population conserved", over(np.abs(S + I_A + I_S + R + D - total)))
+    add("c", "mild cases at least (1-p)/p of severe",
+        over((1.0 - pm.p) / pm.p * I_S - I_A) if pm.p > 0.0 else [], skipped=pm.p <= 0.0)
+    add("d", "susceptibles above the floor S_min", over(dc.S_min - S))
+    add("e", "mild cases at most zeta times severe", over(I_A - dc.zeta * I_S))
+    add("f", "response level within [psi_floor, 1]",
+        over(np.maximum(dc.psi_floor - psi, psi - 1.0), tol_psi) if psi0 == 1.0 else [],
+        skipped=psi0 != 1.0)
+    # I_S - phi_plus >= 0 exactly when I_S >= phi_plus (gradual underflow)
+    add("g", "severe cases strictly below capacity",
+        over(I_S - dc.phi_plus, 0.0, strict=False) if cp is not None else [],
+        skipped=cp is None)
 
     viol_h: list[tuple[float, float]] = []
-    skipped_h = cp is None
     if cp is not None:
         down_bound = math.log(cp.on_threshold() / cp.eps_minus) / dc.alpha_S_eff
         for prev, nxt in zip(traj.events, traj.events[1:]):
@@ -442,6 +423,6 @@ def validate_trajectory(
                 if dur < down_bound - event_time_tol:
                     viol_h.append((prev.t, down_bound - dur))
     add("h", "completed input-1 phases at least the dwell bound", viol_h,
-        skipped=skipped_h)
+        skipped=cp is None)
 
     return ValidationReport(checks=tuple(checks))

@@ -8,7 +8,9 @@ enough to survive solver version drift.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from icufunnel import (
     ChatteringError,
@@ -18,10 +20,12 @@ from icufunnel import (
     State,
     SwitchEvent,
     Trajectory,
+    derivatives,
     input_cost,
     simulate,
     validate_trajectory,
 )
+from icufunnel.simulator import MAX_STEP_DAYS
 from test_model import make_scenario
 
 
@@ -33,7 +37,6 @@ class TestSimConfig:
         dict(rtol=0.0),
         dict(atol=-1e-9),
         dict(event_time_tol=0.0),
-        dict(max_step=0.0),
         dict(open_loop_u=2),
         dict(max_switches=0),
     ])
@@ -138,10 +141,30 @@ class TestOpenLoop:
         assert rep.switch_count == 0
         assert traj.samples[0].psi == 0.9
 
-    def test_fractional_horizon_grid(self):
+    def test_rows_match_scalar_dense_output(self, run_open0, scenario):
+        # one phase: the same solve_ivp call, its dense output evaluated one
+        # time at a time; the array call may differ only in rounding
+        traj, _, _ = run_open0
+        cfg = SimConfig(open_loop_u=0)
+        pm, N = scenario.params, scenario.population()
+        sol = solve_ivp(
+            lambda t, y: derivatives(y[0], y[1], y[2], y[4], y[5], 0, pm, N),
+            (0.0, cfg.horizon), np.array(traj.samples[0].as_tuple()), method="RK45",
+            dense_output=True, rtol=cfg.rtol, atol=cfg.atol, max_step=MAX_STEP_DAYS,
+        )
+        for s in traj.samples[1:]:
+            assert s.as_tuple() == pytest.approx(tuple(sol.sol(s.t)), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("horizon,output_dt,expected", [
+        (10.5, 1.0, [float(k) for k in range(11)] + [10.5]),
+        # 3 * 0.1 rounds past 0.3: that multiple is dropped, not extrapolated
+        (0.3, 0.1, [0.0, 0.1, 0.2, 0.3]),
+    ], ids=["10.5_by_1", "0.3_by_0.1"])
+    def test_fractional_horizon_grid(self, horizon, output_dt, expected):
         sc = make_scenario()
-        traj, _ = simulate(sc, None, SimConfig(open_loop_u=1, horizon=10.5))
-        assert [s.t for s in traj.samples] == [float(k) for k in range(11)] + [10.5]
+        cfg = SimConfig(open_loop_u=1, horizon=horizon, output_dt=output_dt)
+        traj, _ = simulate(sc, None, cfg)
+        assert [s.t for s in traj.samples] == expected
 
 
 class TestPreconditions:
@@ -259,6 +282,32 @@ class TestValidation:
         assert rep.check("e").worst == (2.0, 28.0)
         assert all(type(x) is float for c in rep.checks for tv in c.violations for x in tv)
         assert not any(c.skipped for c in rep.checks)
+
+    def test_masks_match_loop_reference(self, run8, scenario, dc, cp8):
+        # zero tolerances and a lowered capacity make checks a-g fire on
+        # the reference run; the masks must equal a per-sample loop exactly
+        traj, _, _ = run8
+        low = dataclasses.replace(dc, phi_plus=30.0)
+        rep = validate_trajectory(traj, scenario, low, cp8, tol_compartment=0.0, tol_psi=0.0)
+        pm, total = scenario.params, scenario.population()
+        expected = {name: [] for name in "abcdefg"}
+        for s in traj.samples:
+            defects = {
+                "a": -min(s.S, s.I_A, s.I_S, s.R, s.D),
+                "b": abs(s.S + s.I_A + s.I_S + s.R + s.D - total),
+                "c": (1.0 - pm.p) / pm.p * s.I_S - s.I_A,
+                "d": low.S_min - s.S,
+                "e": s.I_A - low.zeta * s.I_S,
+                "f": max(low.psi_floor - s.psi, s.psi - 1.0),
+            }
+            for name, defect in defects.items():
+                if defect > 0.0:
+                    expected[name].append((s.t, defect))
+            if s.I_S >= low.phi_plus:
+                expected["g"].append((s.t, s.I_S - low.phi_plus))
+        for name, violations in expected.items():
+            assert rep.check(name).violations == tuple(violations), name
+        assert all(expected[name] for name in "bceg")
 
     def test_tolerance_override(self, scenario, dc):
         bad = State(S=-1.0, I_A=0.0, I_S=0.0, R=0.0, D=0.0, psi=1.0, t=0.0)
