@@ -39,6 +39,7 @@ class TestSimConfig:
         dict(event_time_tol=0.0),
         dict(open_loop_u=2),
         dict(max_switches=0),
+        dict(horizon=math.nan),
     ])
     def test_rejects_bad_settings(self, kw):
         with pytest.raises(ValueError):
