@@ -18,7 +18,7 @@ import numpy as np
 from .constants import DerivedConstants, check_sigma_rob, derive_constants
 # q_eval is not called here; it stays bound because the benchmark tracer hooks analysis.q_eval
 from .controller import ControllerParams, _q, in_CZ, q_eval  # noqa: F401
-from .model import CapacityPolicy, EpidemicParams, InitialState, Scenario
+from .model import Scenario
 from .simulator import PreconditionError, SimConfig, simulate
 
 __all__ = [
@@ -31,7 +31,13 @@ __all__ = [
     "sweep_eps_minus",
 ]
 
-# Coordinates of the 18-dimensional scenario vector (see _scenario_vector).
+# The probe's order of the 18 scenario coordinates: direction column i of
+# the seeded draw moves _PROBE_KEYS[i], so reordering changes every result.
+_PROBE_KEYS = (
+    "alpha_A", "alpha_S", "beta_A", "beta_S", "rho", "p",
+    "gamma_0", "gamma_1", "psi_bar", "gamma_K",
+    "xi", "n_icu", "S0", "IA0", "IS0", "R0", "D0", "psi0",
+)
 _UNIT = slice(0, 10)  # rate/fraction parameters, clipped to [0, 1]
 _PSI0 = 17  # also clipped to [0, 1]
 # Bisection steps on the probe radius: certified_delta is within
@@ -97,27 +103,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _scenario_vector(sc: Scenario) -> np.ndarray:
-    pm, ini, cap = sc.params, sc.init, sc.capacity
-    return np.array([
-        pm.alpha_A, pm.alpha_S, pm.beta_A, pm.beta_S, pm.rho, pm.p,
-        pm.gamma_0, pm.gamma_1, pm.psi_bar, pm.gamma_K,
-        cap.xi, cap.n_icu, ini.S0, ini.IA0, ini.IS0, ini.R0, ini.D0, ini.psi0,
-    ])
-
-
-def _scenario_from_vector(x: np.ndarray) -> Scenario:
-    v = [float(xi) for xi in x]
-    return Scenario(
-        params=EpidemicParams(
-            alpha_A=v[0], alpha_S=v[1], beta_A=v[2], beta_S=v[3], rho=v[4], p=v[5],
-            gamma_0=v[6], gamma_1=v[7], psi_bar=v[8], gamma_K=v[9],
-        ),
-        capacity=CapacityPolicy(xi=v[10], n_icu=v[11]),
-        init=InitialState(S0=v[12], IA0=v[13], IS0=v[14], R0=v[15], D0=v[16], psi0=v[17]),
-    )
-
-
 def _perturbed(x0: np.ndarray, direction: np.ndarray, delta: float) -> np.ndarray:
     # relative perturbation coordinate-wise, absolute fallback at exact zeros
     scale = np.where(x0 != 0.0, np.abs(x0), 1.0)
@@ -130,7 +115,7 @@ def _perturbed(x0: np.ndarray, direction: np.ndarray, delta: float) -> np.ndarra
 
 def _sample_ok(x: np.ndarray, cp: ControllerParams) -> bool:
     try:
-        sc = _scenario_from_vector(x)
+        sc = Scenario.from_values(dict(zip(_PROBE_KEYS, x.tolist())))
         dc = derive_constants(sc)
         rep = check_sigma_rob(sc, dc)
         if not rep.in_sigma_rob:
@@ -174,7 +159,8 @@ def robustness_probe(
 
     rng = np.random.default_rng(seed)
     directions = rng.uniform(-1.0, 1.0, size=(samples, 18))
-    x0 = _scenario_vector(scenario)
+    values = scenario.values()
+    x0 = np.array([values[k] for k in _PROBE_KEYS])
 
     oks = [_sample_ok(_perturbed(x0, directions[i], delta), cp) for i in range(samples)]
     pass_fraction = sum(oks) / samples

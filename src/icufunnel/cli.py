@@ -18,7 +18,7 @@ import dataclasses
 import io
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -39,7 +39,7 @@ from .controller import (
     find_max_slack_eps,
     in_CZ,
 )
-from .model import CapacityPolicy, EpidemicParams, InitialState, Scenario
+from .model import SCENARIO_KEYS, Scenario
 from .simulator import (
     PreconditionError,
     RunReport,
@@ -64,11 +64,6 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 
-_SCENARIO_KEYS = (
-    "beta_A", "beta_S", "alpha_A", "alpha_S", "p", "rho",
-    "gamma_0", "gamma_1", "psi_bar", "gamma_K",
-    "S0", "IA0", "IS0", "R0", "D0", "psi0", "n_icu", "xi",
-)
 _CONTROLLER_KEYS = ("eps_plus", "eps_minus")
 _SIM_KEYS = ("horizon", "output_dt", "rtol", "atol", "event_time_tol")
 
@@ -79,16 +74,16 @@ class ScenarioFileError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    """Parsed scenario file: the scenario plus optional controller/sim data."""
+    """Parsed scenario file: the scenario plus optional controller/sim data.
+
+    sim holds exactly the keys the [sim] section set; they are checked when
+    sim_config builds a SimConfig from them.
+    """
 
     scenario: Scenario
     eps_plus: float | None = None
     eps_minus: float | None = None
-    horizon: float | None = None
-    output_dt: float | None = None
-    rtol: float | None = None
-    atol: float | None = None
-    event_time_tol: float | None = None
+    sim: dict[str, float] = field(default_factory=dict)
 
     def sim_config(
         self,
@@ -96,16 +91,9 @@ class ScenarioFile:
         horizon: float | None = None,
     ) -> SimConfig:
         """SimConfig from the file's [sim] section; arguments override."""
-        kwargs = {}
-        for key in _SIM_KEYS:
-            val = getattr(self, key)
-            if val is not None:
-                kwargs[key] = val
-        if horizon is not None:
-            kwargs["horizon"] = horizon
-        if open_loop_u is not None:
-            kwargs["open_loop_u"] = open_loop_u
-        return SimConfig(**kwargs)
+        overrides = {"horizon": horizon, "open_loop_u": open_loop_u}
+        overrides = {k: v for k, v in overrides.items() if v is not None}
+        return SimConfig(**{**self.sim, **overrides})
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
@@ -144,7 +132,7 @@ def load_scenario_file(path: str | Path) -> ScenarioFile:
 
     values: dict[str, float] = {}
     for section, required, allowed in (
-        ("scenario", _SCENARIO_KEYS, _SCENARIO_KEYS),
+        ("scenario", SCENARIO_KEYS, SCENARIO_KEYS),
         ("controller", _CONTROLLER_KEYS, _CONTROLLER_KEYS),
         ("sim", (), _SIM_KEYS),
     ):
@@ -161,11 +149,7 @@ def load_scenario_file(path: str | Path) -> ScenarioFile:
             values[key] = _parse_float(section, key, proxy[key])
 
     try:
-        scenario = Scenario(
-            params=EpidemicParams(**{k: values[k] for k in _SCENARIO_KEYS[:10]}),
-            init=InitialState(**{k: values[k] for k in ("S0", "IA0", "IS0", "R0", "D0", "psi0")}),
-            capacity=CapacityPolicy(n_icu=values["n_icu"], xi=values["xi"]),
-        )
+        scenario = Scenario.from_values(values)
     except ValueError as exc:
         raise ScenarioFileError(f"invalid scenario: {exc}") from None
 
@@ -173,11 +157,7 @@ def load_scenario_file(path: str | Path) -> ScenarioFile:
         scenario=scenario,
         eps_plus=values.get("eps_plus"),
         eps_minus=values.get("eps_minus"),
-        horizon=values.get("horizon"),
-        output_dt=values.get("output_dt"),
-        rtol=values.get("rtol"),
-        atol=values.get("atol"),
-        event_time_tol=values.get("event_time_tol"),
+        sim={k: values[k] for k in _SIM_KEYS if k in values},
     )
 
 
@@ -192,19 +172,8 @@ def scenario_file_text(
     Round-trip exact: load_scenario_file on the result reproduces the
     identical Scenario value.
     """
-    pm, ini, cap = scenario.params, scenario.init, scenario.capacity
-    pairs = [
-        ("beta_A", pm.beta_A), ("beta_S", pm.beta_S),
-        ("alpha_A", pm.alpha_A), ("alpha_S", pm.alpha_S),
-        ("p", pm.p), ("rho", pm.rho),
-        ("gamma_0", pm.gamma_0), ("gamma_1", pm.gamma_1),
-        ("psi_bar", pm.psi_bar), ("gamma_K", pm.gamma_K),
-        ("S0", ini.S0), ("IA0", ini.IA0), ("IS0", ini.IS0),
-        ("R0", ini.R0), ("D0", ini.D0), ("psi0", ini.psi0),
-        ("n_icu", cap.n_icu), ("xi", cap.xi),
-    ]
     lines = ["[scenario]"]
-    lines += [f"{k} = {v!r}" for k, v in pairs]
+    lines += [f"{k} = {v!r}" for k, v in scenario.values().items()]
     if eps_plus is not None and eps_minus is not None:
         lines += ["", "[controller]", f"eps_plus = {eps_plus!r}", f"eps_minus = {eps_minus!r}"]
     if sim is not None:

@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 
+# Positive floor (1/day) for the growth-rate bound mu, keeping the up-dwell
+# logarithm well defined.
+_MU_FLOOR = 1e-6
+
+
 class DerivationError(ValueError):
     """A derived constant is structurally undefined for this scenario."""
 
@@ -124,13 +129,10 @@ class AssumptionReport:
         return self.in_sigma and self.has_a6 and self.a6_ok
 
 
-def derive_constants(scenario: Scenario, dwell_delta: float = 1e-6) -> DerivedConstants:
+def derive_constants(scenario: Scenario) -> DerivedConstants:
     """Compute every derived constant for a scenario.
 
-    Args:
-        scenario: problem instance.
-        dwell_delta: positive floor (1/day) for the growth-rate bound mu,
-            keeping the up-dwell logarithm well defined.
+    mu is floored at _MU_FLOOR.
 
     Returns:
         DerivedConstants, every field computed literally from its defining
@@ -139,8 +141,6 @@ def derive_constants(scenario: Scenario, dwell_delta: float = 1e-6) -> DerivedCo
         still be produced; structurally undefined cases raise
         DerivationError naming the offending field.
     """
-    if dwell_delta <= 0.0:
-        raise ValueError("dwell_delta must be > 0")
     pm = scenario.params
     ini = scenario.init
     if ini.IS0 <= 0.0:
@@ -193,7 +193,7 @@ def derive_constants(scenario: Scenario, dwell_delta: float = 1e-6) -> DerivedCo
     mu = max(
         (1.0 + pm.p) / 2.0 * pm.beta_S + pm.p / 2.0 * pm.beta_A - alpha_S_eff,
         (2.0 - pm.p) / 2.0 * pm.beta_A + (1.0 - pm.p) / 2.0 * pm.beta_S - pm.alpha_A,
-        dwell_delta,
+        _MU_FLOOR,
     )
 
     return DerivedConstants(

@@ -1,7 +1,7 @@
 """Bang-bang hysteresis controller and feasibility of its thresholds.
 
 The control law is a two-threshold relay on the severe-case count: switch on
-at phi_plus - eps_plus, switch off at phi_minus + eps_minus, hold in between.
+at phi_plus - eps_plus, switch off at eps_minus, hold in between.
 The rest of the module decides whether a threshold pair is admissible (the
 ordering constraint plus conditions A4 and A5 on the growth functional q),
 constructs an admissible pair when one exists, and evaluates the closed-form
@@ -53,16 +53,16 @@ class ControllerParams:
     """Threshold pair for the relay controller (all in individuals).
 
     The on threshold is phi_plus - eps_plus, the off threshold is
-    phi_minus + eps_minus. Positivity is enforced here; the ordering
-    constraint (off threshold strictly below on threshold) is deliberately
-    not, so that a violating pair can still be handed to in_CZ and rejected
-    with a report. Callers feeding control_update must ensure ordering_ok.
+    eps_minus (the corridor floor is zero). Positivity is enforced here;
+    the ordering constraint (off threshold strictly below on threshold) is
+    deliberately not, so that a violating pair can still be handed to in_CZ
+    and rejected with a report. Callers feeding control_update must ensure
+    ordering_ok.
     """
 
     eps_plus: float
     eps_minus: float
     phi_plus: float
-    phi_minus: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.eps_plus > 0.0:
@@ -71,14 +71,12 @@ class ControllerParams:
             raise ValueError(f"eps_minus must be > 0, got {self.eps_minus!r}")
         if not self.phi_plus > 0.0:
             raise ValueError(f"phi_plus must be > 0, got {self.phi_plus!r}")
-        if self.phi_minus < 0.0:
-            raise ValueError(f"phi_minus must be >= 0, got {self.phi_minus!r}")
 
     def on_threshold(self) -> float:
         return self.phi_plus - self.eps_plus
 
     def off_threshold(self) -> float:
-        return self.phi_minus + self.eps_minus
+        return self.eps_minus
 
     def ordering_ok(self) -> bool:
         return self.off_threshold() < self.on_threshold()
@@ -139,7 +137,7 @@ def control_update(I_S: float, u_prev: int, cp: ControllerParams) -> int:
     """The relay decision at severe-case count I_S, given the input u_prev.
 
     On at I_S >= phi_plus - eps_plus (ties switch on), off at
-    I_S <= phi_minus + eps_minus (ties switch off), u_prev held strictly in
+    I_S <= eps_minus (ties switch off), u_prev held strictly in
     between. The two branches cannot fire together when the ordering
     constraint holds.
     """
@@ -213,7 +211,7 @@ def in_CZ(cp: ControllerParams, scenario: Scenario, dc: DerivedConstants) -> CZR
     conditions = (
         Condition(
             "ordering",
-            "phi_minus + eps_minus < phi_plus - eps_plus",
+            "eps_minus < phi_plus - eps_plus",
             cp.ordering_ok(),
             cp.off_threshold(),
             cp.on_threshold(),
@@ -295,7 +293,6 @@ def find_feasible_eps(
         eps_plus=dc.phi_plus - best,
         eps_minus=best / 2.0,
         phi_plus=dc.phi_plus,
-        phi_minus=0.0,
     )
 
 
@@ -348,8 +345,16 @@ def find_max_slack_eps(scenario: Scenario, dc: DerivedConstants) -> ControllerPa
         eps_plus=dc.phi_plus - on,
         eps_minus=on / 2.0,
         phi_plus=dc.phi_plus,
-        phi_minus=0.0,
     )
+
+
+def _down_dwell_bound(cp: ControllerParams, dc: DerivedConstants) -> float:
+    """The down_bound of dwell_lower_bounds, which validate_trajectory checks.
+
+    Kept apart from the up bound, which divides by eps_minus**2 and so
+    raises once that underflows to zero.
+    """
+    return math.log(cp.on_threshold() / cp.eps_minus) / dc.alpha_S_eff
 
 
 def dwell_lower_bounds(
@@ -366,6 +371,5 @@ def dwell_lower_bounds(
     if IA_at_switch < 0.0:
         raise ValueError(f"IA_at_switch must be >= 0, got {IA_at_switch!r}")
     gap = cp.on_threshold()
-    down = math.log(gap / cp.eps_minus) / dc.alpha_S_eff
     up = math.log(gap**2 / (cp.eps_minus**2 + IA_at_switch**2)) / dc.mu
-    return DwellBounds(down_bound=down, up_bound=up)
+    return DwellBounds(down_bound=_down_dwell_bound(cp, dc), up_bound=up)

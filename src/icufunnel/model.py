@@ -13,7 +13,9 @@ Everything here is a pure value or a pure function; simulation lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
+from operator import itemgetter
 
 __all__ = [
     "EpidemicParams",
@@ -21,6 +23,7 @@ __all__ = [
     "CapacityPolicy",
     "Scenario",
     "State",
+    "SCENARIO_KEYS",
 ]
 
 
@@ -66,10 +69,7 @@ class EpidemicParams:
     gamma_K: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "beta_A", "beta_S", "alpha_A", "alpha_S", "p", "rho",
-            "gamma_0", "gamma_1", "psi_bar", "gamma_K",
-        ):
+        for name in _PARAMS_KEYS:
             _require_unit_interval(name, getattr(self, name))
 
 
@@ -110,9 +110,6 @@ class CapacityPolicy:
     def phi_plus(self) -> float:
         return (1.0 + self.xi) * self.n_icu
 
-    def phi_minus(self) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -130,6 +127,45 @@ class Scenario:
         """Conserved total N = S0 + IA0 + IS0 + R0 + D0."""
         i = self.init
         return i.S0 + i.IA0 + i.IS0 + i.R0 + i.D0
+
+    def values(self) -> dict[str, float]:
+        """The 18 scenario coordinates by name, in SCENARIO_KEYS order."""
+        groups = (
+            (self.params, _PARAMS_KEYS), (self.init, _INIT_KEYS), (self.capacity, _CAPACITY_KEYS),
+        )
+        return {k: getattr(group, k) for group, keys in groups for k in keys}
+
+    @classmethod
+    def from_values(cls, values: Mapping[str, float]) -> Scenario:
+        """Build a scenario from coordinates by name; other names are ignored.
+
+        Raises:
+            KeyError: a coordinate is missing.
+            ValueError: a coordinate is out of range.
+        """
+        return cls(
+            params=EpidemicParams(*_params_of(values)),
+            init=InitialState(*_init_of(values)),
+            capacity=CapacityPolicy(*_capacity_of(values)),
+        )
+
+
+# Field names per group, taken once at import: Scenario.from_values runs per
+# robustness-probe sample, where calling fields() each time is measurable.
+# The value objects are read with getattr, never vars(): on CPython 3.11 an
+# instance whose __dict__ was materialized reads its attributes about twice
+# as slowly, and derive_constants reads them per probe sample.
+_PARAMS_KEYS, _INIT_KEYS, _CAPACITY_KEYS = (
+    tuple(f.name for f in fields(group))
+    for group in (EpidemicParams, InitialState, CapacityPolicy)
+)
+# Each group's field values from a mapping, in declaration order.
+_params_of, _init_of, _capacity_of = (
+    itemgetter(*keys) for keys in (_PARAMS_KEYS, _INIT_KEYS, _CAPACITY_KEYS)
+)
+# The scenario coordinates in declaration order, which is also the key order
+# of a scenario file's [scenario] section.
+SCENARIO_KEYS = _PARAMS_KEYS + _INIT_KEYS + _CAPACITY_KEYS
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Between switches the dynamics are a smooth ODE in one of two input modes, so
 each mode phase is integrated with an adaptive RK45 pair and dense output.
 Only one guard is armed per mode: the on threshold (phi_plus - eps_plus)
-while relaxed, the off threshold (phi_minus + eps_minus) while intervening.
+while relaxed, the off threshold (eps_minus) while intervening.
 A sign change of the armed guard between solver knots is located by bisection
 on the dense output, the phase is truncated there, the mode flips, and
 integration restarts. Open-loop runs fix the input and arm no guard.
@@ -12,8 +12,9 @@ Each phase is sampled from its dense output: the output-grid rows inside
 the phase in one array call, and the closing row (an event or the horizon)
 in a scalar call, since that state also starts the next phase. The grid is
 the multiples of output_dt that do not pass the horizon, plus the horizon.
-The RK45 step cap is the module constant MAX_STEP_DAYS; there is no
-max_step setting. Trajectories are validated after the fact against the
+The RK45 step cap is the module constant MAX_STEP_DAYS, and the chattering
+tripwire on the event count is the module constant MAX_SWITCHES; neither is
+a setting. Trajectories are validated after the fact against the
 analytically provable path properties, each check one mask over the sample
 columns.
 """
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .constants import DerivedConstants
-from .controller import ControllerParams, control_update
+from .controller import ControllerParams, _down_dwell_bound, control_update
 from .model import Scenario, State, derivatives
 
 __all__ = [
@@ -50,6 +51,8 @@ __all__ = [
 # Caps the RK45 step (days) so solver knots stay dense enough to bracket
 # every guard crossing: the armed guard is only tested at knots.
 MAX_STEP_DAYS = 1.0
+# A run that records more switch events than this is reported as chattering.
+MAX_SWITCHES = 1_000_000
 
 
 class IntegrationError(RuntimeError):
@@ -71,9 +74,8 @@ class SimConfig:
     Samples are taken at every multiple k * output_dt that does not pass the
     horizon, plus the horizon itself when it is not such a multiple.
     open_loop_u, when set, fixes the input to that constant and bypasses
-    the controller entirely. max_switches bounds the event count as a
-    chattering tripwire. The RK45 step cap is the module constant
-    MAX_STEP_DAYS, not a setting.
+    the controller entirely. The RK45 step cap MAX_STEP_DAYS and the
+    chattering tripwire MAX_SWITCHES are module constants, not settings.
     """
 
     horizon: float = 1000.0
@@ -82,7 +84,6 @@ class SimConfig:
     atol: float = 1e-10
     event_time_tol: float = 1e-9
     open_loop_u: int | None = None
-    max_switches: int = 1_000_000
 
     def __post_init__(self) -> None:
         if not self.horizon > 0.0:
@@ -96,8 +97,6 @@ class SimConfig:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         if self.open_loop_u not in (None, 0, 1):
             raise ValueError(f"open_loop_u must be 0, 1 or None, got {self.open_loop_u!r}")
-        if self.max_switches < 1:
-            raise ValueError(f"max_switches must be >= 1, got {self.max_switches!r}")
 
 
 @dataclass(frozen=True)
@@ -128,13 +127,8 @@ class Trajectory:
 
     def u_at(self, t: float) -> int:
         """Input value at time t (right-continuous)."""
-        u = self.u0
-        for ev in self.events:
-            if ev.t <= t:
-                u = ev.u_new
-            else:
-                break
-        return u
+        i = bisect_right(self.events, t, key=lambda ev: ev.t)
+        return self.events[i - 1].u_new if i else self.u0
 
 
 @dataclass(frozen=True)
@@ -207,7 +201,7 @@ def simulate(
     Raises:
         PreconditionError: closed-loop start set violated.
         IntegrationError: the integrator failed inside a phase.
-        ChatteringError: more than cfg.max_switches events, or an event at
+        ChatteringError: more than MAX_SWITCHES events, or an event at
             a phase start (zero-length phase).
         ValueError: neither cp nor cfg.open_loop_u provided.
     """
@@ -254,9 +248,9 @@ def simulate(
     t_cur = 0.0
 
     while t_cur < cfg.horizon:
-        if len(events) > cfg.max_switches:
+        if len(events) > MAX_SWITCHES:
             raise ChatteringError(
-                f"more than {cfg.max_switches} switches; chattering or misconfigured thresholds"
+                f"more than {MAX_SWITCHES} switches; chattering or misconfigured thresholds"
             )
         u_mode = u
 
@@ -416,7 +410,7 @@ def validate_trajectory(
 
     viol_h: list[tuple[float, float]] = []
     if cp is not None:
-        down_bound = math.log(cp.on_threshold() / cp.eps_minus) / dc.alpha_S_eff
+        down_bound = _down_dwell_bound(cp, dc)
         for prev, nxt in zip(traj.events, traj.events[1:]):
             if prev.u_new == 1 and nxt.u_new == 0:
                 dur = nxt.t - prev.t

@@ -30,6 +30,8 @@ from icufunnel import (
     robustness_probe,
     sweep_eps_minus,
 )
+from icufunnel import analysis
+from icufunnel.model import SCENARIO_KEYS
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +54,10 @@ def _failed(sc, dc):
 
 
 class TestProbeValidation:
+    def test_probe_keys_are_the_scenario_keys(self):
+        # the probe's own coordinate order must name each coordinate once
+        assert sorted(analysis._PROBE_KEYS) == sorted(SCENARIO_KEYS)
+
     def test_negative_delta(self, scenario, city_pair):
         with pytest.raises(ValueError, match="delta"):
             robustness_probe(scenario, city_pair, delta=-1e-3)

@@ -34,7 +34,8 @@ class TestScenarioFile:
         assert sf.scenario.params.beta_A == 0.37
         assert sf.scenario.init.IA0 == 49.0
         assert sf.eps_plus == 10.0 and sf.eps_minus == 8.0
-        assert sf.horizon == 1000.0 and sf.rtol == 1e-8
+        assert sf.sim == {"horizon": 1000.0, "output_dt": 1.0, "rtol": 1e-8,
+                          "atol": 1e-10, "event_time_tol": 1e-9}
 
     def test_round_trip_identity(self, tmp_path, scenario):
         text = scenario_file_text(scenario, eps_plus=10.0, eps_minus=8.0,
@@ -42,9 +43,8 @@ class TestScenarioFile:
         sf = load_scenario_file(write(tmp_path, text))
         assert sf.scenario == scenario
         assert sf.eps_plus == 10.0 and sf.eps_minus == 8.0
-        assert sf.horizon == 1000.0 and sf.output_dt == 1.0
-        assert sf.rtol == 1e-8 and sf.atol == 1e-10
-        assert sf.event_time_tol == 1e-9
+        assert sf.sim == {"horizon": 1000.0, "output_dt": 1.0, "rtol": 1e-8,
+                          "atol": 1e-10, "event_time_tol": 1e-9}
 
     def test_serialization_is_exact(self, tmp_path, scenario):
         # repr round-trip keeps every float bit-identical

@@ -56,9 +56,6 @@ class TestDerivedValues:
         # with no transmission both growth estimates are negative
         sc = make_scenario(beta_A=0.0, beta_S=0.0)
         assert derive_constants(sc).mu == 1e-6
-        assert derive_constants(sc, dwell_delta=0.5).mu == 0.5
-        with pytest.raises(ValueError, match="dwell_delta"):
-            derive_constants(sc, dwell_delta=0.0)
 
 
 class TestDerivationErrors:

@@ -39,7 +39,6 @@ class TestControllerParams:
         dict(eps_plus=0.0, eps_minus=8.0, phi_plus=44.0),
         dict(eps_plus=10.0, eps_minus=-1.0, phi_plus=44.0),
         dict(eps_plus=10.0, eps_minus=8.0, phi_plus=0.0),
-        dict(eps_plus=10.0, eps_minus=8.0, phi_plus=44.0, phi_minus=-0.5),
     ])
     def test_positivity_enforced(self, kw):
         with pytest.raises(ValueError):
@@ -170,7 +169,7 @@ class TestFindFeasible:
         cp = find_feasible_eps(scenario, dc)
         assert cp.eps_plus == pytest.approx(28.414513289689637, rel=1e-12)
         assert cp.eps_minus == pytest.approx(7.7927433551551815, rel=1e-12)
-        assert cp.phi_plus == dc.phi_plus and cp.phi_minus == 0.0
+        assert cp.phi_plus == dc.phi_plus
         cz = in_CZ(cp, scenario, dc)
         assert cz.in_cz
         assert cz.q_value < dc.phi_plus
@@ -235,7 +234,7 @@ class TestFindMaxSlack:
     def test_pair_is_admissible(self, admissible):
         sc, dcs = admissible
         cp = find_max_slack_eps(sc, dcs)
-        assert cp.phi_plus == dcs.phi_plus and cp.phi_minus == 0.0
+        assert cp.phi_plus == dcs.phi_plus
         assert in_CZ(cp, sc, dcs).in_cz
 
     def test_more_slack_than_largest_gap_pair(self, admissible):

@@ -12,6 +12,7 @@ from icufunnel import (
     State,
     derivatives,
 )
+from icufunnel.model import SCENARIO_KEYS
 
 TABLE = dict(
     beta_A=0.37, beta_S=0.43, alpha_A=0.1, alpha_S=0.085, p=0.02, rho=0.15,
@@ -21,21 +22,10 @@ INIT = dict(S0=89950.0, IA0=49.0, IS0=1.0, R0=10000.0, D0=0.0, psi0=1.0)
 
 
 def make_scenario(**overrides):
-    params = dict(TABLE)
-    init = dict(INIT)
-    cap = dict(n_icu=40.0, xi=0.1)
-    for k, v in overrides.items():
-        if k in params:
-            params[k] = v
-        elif k in init:
-            init[k] = v
-        else:
-            cap[k] = v
-    return Scenario(
-        params=EpidemicParams(**params),
-        init=InitialState(**init),
-        capacity=CapacityPolicy(**cap),
-    )
+    unknown = set(overrides) - set(SCENARIO_KEYS)
+    if unknown:
+        raise TypeError(f"not scenario coordinates: {sorted(unknown)}")
+    return Scenario.from_values({**TABLE, **INIT, "n_icu": 40.0, "xi": 0.1, **overrides})
 
 
 class TestParams:
@@ -72,7 +62,6 @@ class TestCapacityPolicy:
     def test_phi_plus(self):
         cap = CapacityPolicy(n_icu=40.0, xi=0.1)
         assert cap.phi_plus() == 44.0
-        assert cap.phi_minus() == 0.0
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -91,6 +80,13 @@ class TestScenario:
     def test_zero_population_rejected(self):
         with pytest.raises(ValueError, match="population"):
             make_scenario(S0=0.0, IA0=0.0, IS0=0.0, R0=0.0, D0=0.0)
+
+    def test_values_round_trip(self):
+        sc = make_scenario(D0=5.0, psi0=0.9, xi=0.25)
+        assert tuple(sc.values()) == SCENARIO_KEYS
+        assert Scenario.from_values(sc.values()) == sc
+        # names that are not coordinates, such as a file's eps_plus, are ignored
+        assert Scenario.from_values({**sc.values(), "eps_plus": 10.0}) == sc
 
 
 class TestDerivatives:

@@ -25,6 +25,7 @@ from icufunnel import (
     simulate,
     validate_trajectory,
 )
+from icufunnel import simulator
 from icufunnel.simulator import MAX_STEP_DAYS
 from test_model import make_scenario
 
@@ -38,8 +39,8 @@ class TestSimConfig:
         dict(atol=-1e-9),
         dict(event_time_tol=0.0),
         dict(open_loop_u=2),
-        dict(max_switches=0),
         dict(horizon=math.nan),
+        dict(output_dt=math.nan),
     ])
     def test_rejects_bad_settings(self, kw):
         with pytest.raises(ValueError):
@@ -101,6 +102,16 @@ class TestClosedLoopReference:
         assert traj.u_at(t1 - 1e-9) == 0
         assert traj.u_at(t1) == 1  # right-continuous at the switch
         assert traj.u_at(1000.0) == traj.events[-1].u_new
+
+    def test_input_path_matches_event_scan(self, run8):
+        traj, _, _ = run8
+
+        def scan(t):  # reference: the last event at or before t sets the input
+            return ([traj.u0] + [ev.u_new for ev in traj.events if ev.t <= t])[-1]
+
+        times = [s.t for s in traj.samples] + [ev.t for ev in traj.events]
+        times += [math.nextafter(t, -math.inf) for t in times]
+        assert [traj.u_at(t) for t in times] == [scan(t) for t in times]
 
     def test_wider_pair_summary(self, run20):
         _, rep, _ = run20
@@ -199,9 +210,10 @@ class TestEventEdgeCases:
         assert traj.u_at(0.0) == 1
         assert traj.u0 == 0
 
-    def test_switch_budget_trips(self, scenario, cp8):
+    def test_switch_budget_trips(self, scenario, cp8, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_SWITCHES", 2)
         with pytest.raises(ChatteringError, match="switches"):
-            simulate(scenario, cp8, SimConfig(max_switches=2))
+            simulate(scenario, cp8, SimConfig())
 
 
 class TestInputCost:
@@ -283,6 +295,17 @@ class TestValidation:
         assert rep.check("e").worst == (2.0, 28.0)
         assert all(type(x) is float for c in rep.checks for tv in c.violations for x in tv)
         assert not any(c.skipped for c in rep.checks)
+
+    def test_dwell_check_with_tiny_off_threshold(self, scenario, dc):
+        # eps_minus**2 underflows to zero, where the up-dwell bound divides
+        # by zero; check h needs only the down bound and still reports
+        cp = ControllerParams(eps_plus=10.0, eps_minus=1e-200, phi_plus=44.0)
+        ok = State(S=89950.0, I_A=49.0, I_S=1.0, R=10000.0, D=0.0, psi=1.0, t=0.0)
+        traj = Trajectory(samples=(ok, dataclasses.replace(ok, t=3.0)),
+                          events=(SwitchEvent(1.0, 1), SwitchEvent(2.0, 0)), u0=0)
+        rep = validate_trajectory(traj, scenario, dc, cp)
+        down = math.log(34.0 / 1e-200) / dc.alpha_S_eff
+        assert rep.check("h").violations == ((1.0, down - 1.0),)
 
     def test_masks_match_loop_reference(self, run8, scenario, dc, cp8):
         # zero tolerances and a lowered capacity make checks a-g fire on
