@@ -76,8 +76,8 @@ class ScenarioFileError(ValueError):
 class ScenarioFile:
     """Parsed scenario file: the scenario plus optional controller/sim data.
 
-    sim holds exactly the keys the [sim] section set; they are checked when
-    sim_config builds a SimConfig from them.
+    sim holds exactly the keys the [sim] section set; load_scenario_file has
+    checked that they make a valid SimConfig.
     """
 
     scenario: Scenario
@@ -110,8 +110,9 @@ def load_scenario_file(path: str | Path) -> ScenarioFile:
 
     Raises:
         ScenarioFileError: unreadable file, malformed syntax, unknown
-            section or key, missing required key, non-numeric value, or
-            out-of-range scenario data. The message names the offender.
+            section or key, missing required key, non-numeric value,
+            out-of-range scenario data, or [sim] values that SimConfig
+            rejects. The message names the offender.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (beta_A, not beta_a)
@@ -153,11 +154,17 @@ def load_scenario_file(path: str | Path) -> ScenarioFile:
     except ValueError as exc:
         raise ScenarioFileError(f"invalid scenario: {exc}") from None
 
+    sim = {k: values[k] for k in _SIM_KEYS if k in values}
+    try:
+        SimConfig(**sim)
+    except ValueError as exc:
+        raise ScenarioFileError(str(exc)) from None
+
     return ScenarioFile(
         scenario=scenario,
         eps_plus=values.get("eps_plus"),
         eps_minus=values.get("eps_minus"),
-        sim={k: values[k] for k in _SIM_KEYS if k in values},
+        sim=sim,
     )
 
 

@@ -171,12 +171,18 @@ def derive_constants(scenario: Scenario) -> DerivedConstants:
         + _div((alpha_S_eff - pm.alpha_A) * N, K_psi_bar * pm.psi_bar * S_min)
     )
     cross = pm.p * (1.0 - pm.p) * pm.beta_A * pm.beta_S
+    try:
+        A_sq = A_const**2
+    except OverflowError:
+        raise DerivationError(
+            f"B_const undefined: A_const**2 overflows (A_const = {A_const!r})"
+        ) from None
     if A_const > 0.0:
         # Algebraically equal to -A/2 + sqrt(A^2/4 + cross) but immune to the
         # cancellation (and to inf - inf) when the S_min term dominates.
-        B_const = _div(cross, A_const / 2.0 + math.sqrt(A_const**2 / 4.0 + cross))
+        B_const = _div(cross, A_const / 2.0 + math.sqrt(A_sq / 4.0 + cross))
     else:
-        B_const = -A_const / 2.0 + math.sqrt(A_const**2 / 4.0 + cross)
+        B_const = -A_const / 2.0 + math.sqrt(A_sq / 4.0 + cross)
 
     zeta = max(ini.IA0 / ini.IS0, _div((1.0 - pm.p) * pm.beta_S, B_const))
 

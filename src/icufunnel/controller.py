@@ -367,9 +367,21 @@ def dwell_lower_bounds(
     ln((phi_plus - eps_plus)^2 / (eps_minus^2 + IA_at_switch^2)), where
     IA_at_switch is the mild-case count at the switch-off instant; a
     non-positive value means the bound is uninformative.
+
+    Raises:
+        ValueError: IA_at_switch is negative, or a square in the up bound
+            overflows or its denominator underflows to zero.
     """
     if IA_at_switch < 0.0:
         raise ValueError(f"IA_at_switch must be >= 0, got {IA_at_switch!r}")
     gap = cp.on_threshold()
-    up = math.log(gap**2 / (cp.eps_minus**2 + IA_at_switch**2)) / dc.mu
+    try:
+        ratio = gap**2 / (cp.eps_minus**2 + IA_at_switch**2)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"up_bound undefined: (on threshold {gap!r})**2 / "
+            f"(eps_minus {cp.eps_minus!r}**2 + IA_at_switch {IA_at_switch!r}**2) "
+            "is outside the float range"
+        ) from None
+    up = math.log(ratio) / dc.mu
     return DwellBounds(down_bound=_down_dwell_bound(cp, dc), up_bound=up)

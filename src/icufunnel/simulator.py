@@ -4,9 +4,13 @@ Between switches the dynamics are a smooth ODE in one of two input modes, so
 each mode phase is integrated with an adaptive RK45 pair and dense output.
 Only one guard is armed per mode: the on threshold (phi_plus - eps_plus)
 while relaxed, the off threshold (eps_minus) while intervening.
-A sign change of the armed guard between solver knots is located by bisection
-on the dense output, the phase is truncated there, the mode flips, and
-integration restarts. Open-loop runs fix the input and arm no guard.
+Each phase's solve stops at the first accepted solver knot where the armed
+guard fires; the crossing between that knot and the one before is located
+by bisection on the dense output, the phase is truncated there, the mode
+flips, and integration restarts. Step sizes are chosen against the horizon
+as the solver's end point, so the knots are those of a solve to the
+horizon, cut at the guard. Open-loop runs fix the input and arm no guard,
+so their one solve reaches the horizon.
 
 Each phase is sampled from its dense output: the output-grid rows inside
 the phase in one array call, and the closing row (an event or the horizon)
@@ -26,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from .constants import DerivedConstants
 from .controller import ControllerParams, _down_dwell_bound, control_update
@@ -65,6 +69,25 @@ class ChatteringError(RuntimeError):
 
 class PreconditionError(ValueError):
     """A closed-loop run was started outside its guaranteed-start set."""
+
+
+class _StopAtGuard(RK45):
+    """RK45 that finishes at the first accepted knot where guard(y) holds.
+
+    t_bound stays the caller's end point, so every step size, knot and
+    dense-output segment up to that knot is the one a plain RK45 solve over
+    the same span would take.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, *, guard, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self.guard = guard
+
+    def step(self):
+        message = super().step()
+        if self.status == "running" and self.guard(self.y):
+            self.status = "finished"
+        return message
 
 
 @dataclass(frozen=True)
@@ -257,31 +280,28 @@ def simulate(
         def rhs(t, y, _u=u_mode):
             return derivatives(y[0], y[1], y[2], y[4], y[5], _u, pm, N)
 
+        def fires(y, _u=u_mode):
+            # the relay would leave mode _u here (never in open loop)
+            return not open_loop and control_update(y[2], _u, cp) != _u
+
         sol = solve_ivp(
-            rhs, (t_cur, cfg.horizon), y_cur, method="RK45",
+            rhs, (t_cur, cfg.horizon), y_cur, method=_StopAtGuard, guard=fires,
             dense_output=True, rtol=cfg.rtol, atol=cfg.atol, max_step=MAX_STEP_DAYS,
         )
         if not sol.success:
             raise IntegrationError(f"integrator failed near t = {sol.t[-1]!r}: {sol.message}")
 
-        # the phase ends where the relay would leave mode u (the armed
-        # guard), or else at the horizon
-        hit = None
-        if not open_loop:
-            is_knots = sol.y[2]
-            for i in range(1, len(sol.t)):
-                if control_update(is_knots[i], u, cp) != u:
-                    hit = i
-                    break
-
-        if hit is None:
+        # the solve ends at the first knot where the guard fires, or else at
+        # the horizon, where the guard may fire too
+        hit = fires(sol.y[:, -1])
+        if not hit:
             t_end = cfg.horizon
         else:
             # bracket [a, b]: not yet crossed at a, crossed at b; shrink to tol
-            a, b = float(sol.t[hit - 1]), float(sol.t[hit])
+            a, b = float(sol.t[-2]), float(sol.t[-1])
             while b - a > cfg.event_time_tol:
                 m = 0.5 * (a + b)
-                if control_update(float(sol.sol(m)[2]), u, cp) != u:
+                if fires(sol.sol(m)):
                     b = m
                 else:
                     a = m
@@ -299,7 +319,7 @@ def simulate(
         samples.append(State(*y_end.tolist(), t=t_end))
         phase_is = np.concatenate((sol.y[2][sol.t <= t_end], ys[2], y_end[2:3]))
         max_is = max(max_is, float(phase_is.max()))
-        if hit is None:
+        if not hit:
             break
         gi = bisect_right(grid, t_end, gj)  # the closing row takes an equal grid row's place
         u = 1 - u

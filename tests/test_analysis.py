@@ -17,6 +17,7 @@ deterministic (fixed seeds, fixed direction draws).
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from icufunnel import (
@@ -32,6 +33,8 @@ from icufunnel import (
 )
 from icufunnel import analysis
 from icufunnel.model import SCENARIO_KEYS
+from test_constants import A_CONST_OVERFLOW
+from test_model import make_scenario
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +78,11 @@ class TestProbeValidation:
         sc, _ = lowp  # fails A6.2
         with pytest.raises(PreconditionError, match="robust"):
             robustness_probe(sc, city_pair, delta=1e-3, samples=4)
+
+    def test_underivable_sample_counts_as_failed(self, city_pair):
+        values = make_scenario(**A_CONST_OVERFLOW).values()
+        x = np.array([values[k] for k in analysis._PROBE_KEYS])
+        assert analysis._sample_ok(x, city_pair) is False
 
 
 class TestProbeCity:

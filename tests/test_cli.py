@@ -12,6 +12,8 @@ from icufunnel.cli import (
     main,
     scenario_file_text,
 )
+from test_constants import A_CONST_OVERFLOW
+from test_model import make_scenario
 
 
 def write(tmp_path, text, name="case.ini"):
@@ -103,6 +105,19 @@ class TestFileErrors:
         with pytest.raises(ScenarioFileError, match="eps_minus"):
             load_scenario_file(write(tmp_path, text))
 
+    def test_invalid_sim_section(self, tmp_path, scenario):
+        text = scenario_file_text(scenario) + "\n[sim]\nrtol = 0.0\n"
+        with pytest.raises(ScenarioFileError, match="rtol must be > 0"):
+            load_scenario_file(write(tmp_path, text))
+
+    @pytest.mark.parametrize("command", ["check", "constants", "dwell", "feasible", "robust"])
+    def test_invalid_sim_section_is_usage_error(self, tmp_path, scenario, command, capsys):
+        text = scenario_file_text(scenario, 10.0, 8.0) + "\n[sim]\nrtol = 0.0\n"
+        assert main([command, write(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rtol must be > 0, got 0.0\n"
+
 
 BUNDLED = str(bundled_scenario_path())
 
@@ -135,6 +150,14 @@ class TestCheckCommand:
         assert main(["check", str(tmp_path / "nope.ini")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "constants"])
+    def test_a_const_overflow_is_one_line(self, tmp_path, command, capsys):
+        path = write(tmp_path, scenario_file_text(make_scenario(**A_CONST_OVERFLOW)))
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "A_const" in captured.err
+
 
 class TestConstantsCommand:
     def test_prints_every_constant(self, capsys):
@@ -162,6 +185,14 @@ class TestDwellCommand:
     def test_needs_a_pair(self, plain_file, capsys):
         assert main(["dwell", plain_file]) == 2
         assert "eps_plus" in capsys.readouterr().err
+
+    def test_underflowing_off_threshold_is_usage_error(self, capsys):
+        # eps_minus**2 underflows to 0, so the up bound would divide by zero
+        assert main(["dwell", BUNDLED, "--eps-plus", "10", "--eps-minus", "1e-200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: up_bound undefined")
+        assert captured.err.count("\n") == 1
 
 
 class TestFeasibleCommand:

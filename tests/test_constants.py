@@ -19,6 +19,14 @@ from icufunnel import (
 from test_model import make_scenario
 
 
+# S_min underflows to about 1e-263, so A_const is about -5.5e261 and its
+# square overflows a float
+A_CONST_OVERFLOW = dict(
+    beta_A=0.4692, beta_S=0.4684, alpha_A=0.09984, alpha_S=0.06283, p=0.02, rho=0.1097,
+    psi_bar=0.9747, S0=98691.5, R0=1217.0, IA0=90.0, IS0=1.5,
+)
+
+
 def replace_params(sc, **kw):
     return dataclasses.replace(sc, params=dataclasses.replace(sc.params, **kw))
 
@@ -74,6 +82,10 @@ class TestDerivationErrors:
     def test_zero_initial_recovered(self):
         with pytest.raises(DerivationError, match="R0"):
             derive_constants(make_scenario(R0=0.0))
+
+    def test_a_const_square_overflow(self):
+        with pytest.raises(DerivationError, match="A_const"):
+            derive_constants(make_scenario(**A_CONST_OVERFLOW))
 
 
 class TestDegenerateButReportable:

@@ -293,3 +293,9 @@ class TestDwellBounds:
     def test_negative_ia_rejected(self, dc, pair8):
         with pytest.raises(ValueError, match="IA_at_switch"):
             dwell_lower_bounds(pair8, dc, -1.0)
+
+    def test_overflowing_on_threshold_named(self, dc):
+        # (phi_plus - eps_plus)**2 overflows a float
+        cp = ControllerParams(eps_plus=10.0, eps_minus=8.0, phi_plus=1e200)
+        with pytest.raises(ValueError, match="up_bound undefined"):
+            dwell_lower_bounds(cp, dc, 0.0)

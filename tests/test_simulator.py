@@ -20,6 +20,7 @@ from icufunnel import (
     State,
     SwitchEvent,
     Trajectory,
+    control_update,
     derivatives,
     input_cost,
     simulate,
@@ -177,6 +178,53 @@ class TestOpenLoop:
         cfg = SimConfig(open_loop_u=1, horizon=horizon, output_dt=output_dt)
         traj, _ = simulate(sc, None, cfg)
         assert [s.t for s in traj.samples] == expected
+
+
+class TestPhaseSolves:
+    """Each phase is one solve that stops at the first knot where its guard fires."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def spy(fun, t_span, y0, **kw):
+            sol = solve_ivp(fun, t_span, y0, **kw)
+            calls.append((fun, t_span, np.array(y0), kw, sol))
+            return sol
+
+        monkeypatch.setattr(simulator, "solve_ivp", spy)
+        return calls
+
+    def test_closed_loop_phase_ends_at_first_guard_knot(self, solves, scenario, cp8):
+        traj, _ = simulate(scenario, cp8, SimConfig())
+        assert len(solves) == len(traj.events) + 1
+        u = traj.u0
+        for k, (_, t_span, _, _, sol) in enumerate(solves):
+            fired = [control_update(v, u, cp8) != u for v in sol.y[2][1:]]
+            if k < len(traj.events):
+                ev = traj.events[k]
+                assert fired.index(True) == len(fired) - 1
+                assert 0.0 <= sol.t[-1] - ev.t <= MAX_STEP_DAYS
+                u = ev.u_new
+            else:
+                assert t_span == (traj.events[-1].t, 1000.0)
+                assert not any(fired) and sol.t[-1] == 1000.0
+
+    def test_phase_knots_are_a_prefix_of_a_solve_to_the_horizon(self, solves, scenario, cp8):
+        simulate(scenario, cp8, SimConfig())
+        for fun, t_span, y0, kw, sol in solves:
+            assert t_span[1] == 1000.0
+            plain_kw = {k: v for k, v in kw.items() if k not in ("method", "guard")}
+            plain = solve_ivp(fun, t_span, y0, method="RK45", **plain_kw)
+            n = len(sol.t)
+            assert np.array_equal(sol.t, plain.t[:n])
+            assert np.array_equal(sol.y, plain.y[:, :n])
+
+    def test_open_loop_is_one_solve_to_the_horizon(self, solves, scenario):
+        simulate(scenario, None, SimConfig(open_loop_u=0))
+        assert len(solves) == 1
+        _, t_span, _, _, sol = solves[0]
+        assert t_span == (0.0, 1000.0) and sol.t[-1] == 1000.0
 
 
 class TestPreconditions:
