@@ -2,9 +2,11 @@
 
 The robustness result is fundamentally a sampled under-approximation: the
 guarantee being probed is existential (some positive radius works), so the
-certified radius reported here is the largest sampled radius at which every
-perturbed scenario kept both its admissibility and the fixed threshold
-pair's admissibility, not a proven bound.
+certified radius reported here is a radius, found by bisection, at which
+every perturbed scenario kept both its admissibility and the fixed
+threshold pair's admissibility, not a proven bound. The probe derives and
+checks all perturbed scenarios of one radius in a single array pass
+through the same formulas the scalar functions use.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DerivedConstants, check_sigma_rob, derive_constants
+from .constants import (
+    DerivedConstants, _derive, _sigma_rob_conditions, check_sigma_rob, derive_constants,
+)
 # q_eval is not called here; it stays bound because the benchmark tracer hooks analysis.q_eval
-from .controller import ControllerParams, _q, in_CZ, q_eval  # noqa: F401
-from .model import Scenario
+from .controller import ControllerParams, _cz_conditions, _q, in_CZ, q_eval  # noqa: F401
+from .model import Scenario, _columns
 from .simulator import PreconditionError, SimConfig, simulate
 
 __all__ = [
@@ -38,8 +42,8 @@ _PROBE_KEYS = (
     "gamma_0", "gamma_1", "psi_bar", "gamma_K",
     "xi", "n_icu", "S0", "IA0", "IS0", "R0", "D0", "psi0",
 )
-_UNIT = slice(0, 10)  # rate/fraction parameters, clipped to [0, 1]
-_PSI0 = 17  # also clipped to [0, 1]
+_UNIT = [*range(10), 17]  # rate/fraction parameters and psi0, clipped to [0, 1]
+_NONNEGATIVE = slice(10, 17)  # capacity and compartments, clipped at 0
 # Bisection steps on the probe radius: certified_delta is within
 # delta / 2**20 of the largest radius where every sample passes.
 _PROBE_BISECT_DEPTH = 20
@@ -103,26 +107,34 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _perturbed(x0: np.ndarray, direction: np.ndarray, delta: float) -> np.ndarray:
+@np.errstate(invalid="ignore")  # an infinite coordinate may give nan, which _passes rejects
+def _perturbed(x0: np.ndarray, directions: np.ndarray, delta: float) -> np.ndarray:
     # relative perturbation coordinate-wise, absolute fallback at exact zeros
     scale = np.where(x0 != 0.0, np.abs(x0), 1.0)
-    x = x0 + direction * delta * scale
-    x[_UNIT] = np.clip(x[_UNIT], 0.0, 1.0)
-    x[_PSI0] = min(max(x[_PSI0], 0.0), 1.0)
-    x[10:17] = np.maximum(x[10:17], 0.0)
+    x = x0 + directions * delta * scale
+    x[:, _UNIT] = np.clip(x[:, _UNIT], 0.0, 1.0)
+    x[:, _NONNEGATIVE] = np.maximum(x[:, _NONNEGATIVE], 0.0)
     return x
 
 
-def _sample_ok(x: np.ndarray, cp: ControllerParams) -> bool:
-    try:
-        sc = Scenario.from_values(dict(zip(_PROBE_KEYS, x.tolist())))
-        dc = derive_constants(sc)
-        rep = check_sigma_rob(sc, dc)
-        if not rep.in_sigma_rob:
-            return False
-        return in_CZ(cp, sc, dc).in_cz
-    except ValueError:  # includes DerivationError and constructor rejections
-        return False
+def _passes(x: np.ndarray, cp: ControllerParams) -> np.ndarray:
+    """Which rows of x (scenarios in _PROBE_KEYS order) keep cp admissible.
+
+    A row passes when the Scenario constructors would accept it, every
+    constant is derivable, A1-A3 and A6 hold and cp passes in_CZ: exactly
+    when Scenario.from_values, derive_constants, check_sigma_rob and in_CZ
+    on that row raise no ValueError and say yes.
+    """
+    scenario = _columns(dict(zip(_PROBE_KEYS, x.T)))
+    dc, undefined = _derive(scenario)
+    # After clipping, the constructors reject only nan coordinates and a zero
+    # capacity bound (a zero population has R0 = 0, which is undefined).
+    ok = ~np.isnan(x).any(axis=1) & (dc.phi_plus > 0.0)
+    for rows, _ in undefined:
+        ok &= ~rows
+    for c in _sigma_rob_conditions(scenario, dc) + _cz_conditions(cp, scenario, dc):
+        ok &= c.passed
+    return ok
 
 
 def robustness_probe(
@@ -136,11 +148,14 @@ def robustness_probe(
 
     Draws `samples` uniform directions in the 18-dimensional unit cube once,
     scales them by the probed radius (relative per coordinate, absolute at
-    zeros, clipped to valid ranges), re-derives every constant per perturbed
-    scenario, and requires robust-set membership plus admissibility of the
-    FIXED pair cp. certified_delta is found by bisection over the radius with
-    all-samples-pass as the predicate; reusing the same directions at every
-    radius makes the predicate monotone and the result seed-reproducible.
+    zeros, clipped to valid ranges), and requires each perturbed scenario to
+    be robust-admissible and to admit the FIXED pair cp. All samples at one
+    radius are derived and checked in one array pass. certified_delta is
+    found by bisection over the radius with all-samples-pass as the
+    predicate. Bisection assumes that predicate is monotone in the radius,
+    which nothing guarantees: it returns a radius where every sample passes,
+    not the largest one. Reusing the same directions at every radius makes
+    the result seed-reproducible.
 
     Raises:
         PreconditionError: the nominal scenario is not robust-admissible or
@@ -162,21 +177,17 @@ def robustness_probe(
     values = scenario.values()
     x0 = np.array([values[k] for k in _PROBE_KEYS])
 
-    oks = [_sample_ok(_perturbed(x0, directions[i], delta), cp) for i in range(samples)]
-    pass_fraction = sum(oks) / samples
+    def passes(radius: float) -> np.ndarray:
+        return _passes(_perturbed(x0, directions, radius), cp)
 
-    def all_pass(radius: float) -> bool:
-        return all(
-            _sample_ok(_perturbed(x0, directions[i], radius), cp) for i in range(samples)
-        )
-
+    pass_fraction = int(np.count_nonzero(passes(delta))) / samples
     if pass_fraction == 1.0:
         certified = delta
     else:
-        lo, hi = 0.0, delta  # all_pass(0) holds: zero radius reproduces the nominal
+        lo, hi = 0.0, delta  # zero radius reproduces the nominal, which passes
         for _ in range(_PROBE_BISECT_DEPTH):
             mid = 0.5 * (lo + hi)
-            if all_pass(mid):
+            if passes(mid).all():
                 lo = mid
             else:
                 hi = mid

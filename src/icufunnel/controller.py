@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import Condition, DerivedConstants, check_sigma
+from .constants import (
+    Condition, DerivedConstants, _div, _first_rows, _one_row, check_sigma,
+)
 from .model import Scenario
 
 __all__ = [
@@ -148,24 +150,25 @@ def control_update(I_S: float, u_prev: int, cp: ControllerParams) -> int:
     return u_prev
 
 
-def _q(eps, dc: DerivedConstants, scenario: Scenario):
-    """q at eps, a float or an array; nan where the denominator is not positive.
+@np.errstate(all="ignore")
+def _q(eps, dc: DerivedConstants, scenario):
+    """q at eps; nan where the denominator is not positive, or where p = 0.
 
     The one implementation of the q formula (see q_eval). It warns about
     nothing and raises nothing, so callers that scan or bisect q use it
-    directly; an array is evaluated elementwise with the same operation
-    order as a float, so both give bit-identical values.
+    directly. eps, the constants and the scenario coordinates may be floats
+    or arrays (a scan's grid, or one value per scenario of a batch); they
+    broadcast elementwise with the same operation order, so every form
+    gives bit-identical values. The result is a numpy float or array.
     """
     pm = scenario.params
     ini = scenario.init
     den = dc.alpha_S_eff + (dc.M1 * eps - dc.M2)
     z = pm.beta_A * dc.zeta + pm.beta_S
-    num = pm.p * z * eps * (1.0 - ini.R0 / dc.N - eps / (pm.p * dc.N)) + pm.p * (
+    num = pm.p * z * eps * (1.0 - ini.R0 / dc.N - _div(eps, pm.p * dc.N)) + pm.p * (
         dc.M1 * eps - dc.M2
     ) * (dc.zeta + 1.0) * eps
-    if isinstance(den, np.ndarray):
-        return num / np.where(den > 0.0, den, np.nan)
-    return num / den if den > 0.0 else math.nan
+    return num / np.where(den > 0.0, den, np.nan)
 
 
 def q_eval(eps: float, dc: DerivedConstants, scenario: Scenario) -> float:
@@ -191,24 +194,21 @@ def q_eval(eps: float, dc: DerivedConstants, scenario: Scenario) -> float:
             QEvalRangeWarning,
             stacklevel=2,
         )
-    q = _q(eps, dc, scenario)
+    q = float(_q(eps, dc, scenario))
     if math.isnan(q):
         raise QEvalDomainError(f"q undefined at eps={eps!r}: denominator not positive")
     return q
 
 
-def in_CZ(cp: ControllerParams, scenario: Scenario, dc: DerivedConstants) -> CZReport:
-    """Check threshold-pair admissibility: ordering, A4, A5.
-
-    Always returns a report (never raises). If q is undefined at the probe
-    point phi_plus - eps_plus, A5 is recorded as failed with lhs = nan.
-    The caller is expected to have verified basic scenario admissibility
-    (check_sigma) already.
-    """
+@np.errstate(all="ignore")
+def _cz_conditions(cp: ControllerParams, scenario, dc: DerivedConstants) -> list[Condition]:
+    """Ordering, A4 and A5 on columns (see constants._sigma_conditions)."""
     eps_probe = cp.phi_plus - cp.eps_plus
-    a4_rhs = cp.phi_plus - dc.M2 / dc.M1
-    q_at_probe = _q(eps_probe, dc, scenario)
-    conditions = (
+    # A4 and A5 speak of q on [M2/M1, phi_plus], which M1 = 0 leaves undefined
+    defined = dc.M1 != 0.0
+    a4_rhs = cp.phi_plus - np.where(defined, _div(dc.M2, dc.M1), np.nan)
+    q_at_probe = np.where(defined, _q(eps_probe, dc, scenario), np.nan)
+    return [
         Condition(
             "ordering",
             "eps_minus < phi_plus - eps_plus",
@@ -230,8 +230,20 @@ def in_CZ(cp: ControllerParams, scenario: Scenario, dc: DerivedConstants) -> CZR
             q_at_probe,
             cp.phi_plus,
         ),
-    )
-    return CZReport(conditions=conditions)
+    ]
+
+
+def in_CZ(cp: ControllerParams, scenario: Scenario, dc: DerivedConstants) -> CZReport:
+    """Check threshold-pair admissibility: ordering, A4, A5.
+
+    Always returns a report (never raises). If q is undefined at the probe
+    point phi_plus - eps_plus (p = 0 or a non-positive denominator), A5 is
+    recorded as failed with lhs = nan; if M1 = 0, the interval
+    [M2/M1, phi_plus] is undefined and A4 fails too, with rhs = nan.
+    The caller is expected to have verified basic scenario admissibility
+    (check_sigma) already.
+    """
+    return CZReport(conditions=_first_rows(_cz_conditions(cp, _one_row(scenario), dc)))
 
 
 def _require_sigma(scenario: Scenario, dc: DerivedConstants) -> None:
@@ -369,11 +381,11 @@ def dwell_lower_bounds(
     non-positive value means the bound is uninformative.
 
     Raises:
-        ValueError: IA_at_switch is negative, or a square in the up bound
-            overflows or its denominator underflows to zero.
+        ValueError: IA_at_switch is negative, infinite or nan, or a square
+            in the up bound overflows or its denominator underflows to zero.
     """
-    if IA_at_switch < 0.0:
-        raise ValueError(f"IA_at_switch must be >= 0, got {IA_at_switch!r}")
+    if not 0.0 <= IA_at_switch < math.inf:
+        raise ValueError(f"IA_at_switch must be finite and >= 0, got {IA_at_switch!r}")
     gap = cp.on_threshold()
     try:
         ratio = gap**2 / (cp.eps_minus**2 + IA_at_switch**2)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from operator import itemgetter
+from types import SimpleNamespace
 
 __all__ = [
     "EpidemicParams",
@@ -166,6 +167,21 @@ _params_of, _init_of, _capacity_of = (
 # The scenario coordinates in declaration order, which is also the key order
 # of a scenario file's [scenario] section.
 SCENARIO_KEYS = _PARAMS_KEYS + _INIT_KEYS + _CAPACITY_KEYS
+
+
+def _columns(values: Mapping[str, object]) -> SimpleNamespace:
+    """Coordinates grouped like a Scenario (params, init, capacity), unchecked.
+
+    The values are arrays with one entry per scenario. The derivations in
+    icufunnel.constants read a scenario only through these attributes and
+    CapacityPolicy.phi_plus, so they evaluate a whole batch in one pass.
+    """
+    return SimpleNamespace(**{
+        group: SimpleNamespace(**{k: values[k] for k in keys})
+        for group, keys in (
+            ("params", _PARAMS_KEYS), ("init", _INIT_KEYS), ("capacity", _CAPACITY_KEYS),
+        )
+    })
 
 
 @dataclass(frozen=True)

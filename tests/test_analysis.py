@@ -19,14 +19,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from icufunnel import (
     ControllerParams,
+    InfeasibleError,
     PreconditionError,
+    Scenario,
     SimConfig,
     check_sigma_rob,
     derive_constants,
     find_feasible_eps,
+    find_max_slack_eps,
+    in_CZ,
     q_monotonicity_check,
     robustness_probe,
     sweep_eps_minus,
@@ -82,7 +88,68 @@ class TestProbeValidation:
     def test_underivable_sample_counts_as_failed(self, city_pair):
         values = make_scenario(**A_CONST_OVERFLOW).values()
         x = np.array([values[k] for k in analysis._PROBE_KEYS])
-        assert analysis._sample_ok(x, city_pair) is False
+        assert analysis._passes(x[np.newaxis], city_pair).tolist() == [False]
+
+
+def _scalar_verdict(x, cp):
+    """One probe sample through the public scalar functions."""
+    try:
+        sc = Scenario.from_values(dict(zip(analysis._PROBE_KEYS, x.tolist())))
+        dc = derive_constants(sc)
+        return check_sigma_rob(sc, dc).in_sigma_rob and in_CZ(cp, sc, dc).in_cz
+    except ValueError:  # includes DerivationError and constructor rejections
+        return False
+
+
+class TestBatchedVerdicts:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_each_row_matches_the_scalar_path(self, interior_scenario, data):
+        # anchor: the interior scenario or a +-2 % perturbation of it (D0 and
+        # psi0 kept); most rows pass below radius 0.01, and above radius 1
+        # clipping zeroes R0, p, n_icu and other coordinates
+        values = interior_scenario.values()
+        if data.draw(st.booleans(), label="perturb"):
+            factor = st.floats(0.98, 1.02)
+            values = {
+                k: v if k in ("D0", "psi0")
+                else min(v * data.draw(factor, label=k), 1.0) if k in analysis._PROBE_KEYS[:10]
+                else v * data.draw(factor, label=k)
+                for k, v in values.items()
+            }
+        sc = Scenario.from_values(values)
+        dc = derive_constants(sc)
+        finder = data.draw(st.sampled_from([find_feasible_eps, find_max_slack_eps]))
+        try:
+            cp = finder(sc, dc)
+        except InfeasibleError:
+            assume(False)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        radius = data.draw(
+            st.one_of(st.just(2.0), st.floats(0.0, 0.1), st.floats(0.0, 2.0)), label="radius")
+        directions = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(32, 18))
+        x0 = np.array([values[k] for k in analysis._PROBE_KEYS])
+        x = analysis._perturbed(x0, directions, radius)
+        assert analysis._passes(x, cp).tolist() == [_scalar_verdict(row, cp) for row in x]
+
+    def test_edge_rows_match_the_scalar_path(self, interior_scenario):
+        # the interior scenario with one coordinate at an edge value; a zero
+        # radius turns an infinite coordinate into nan (0 * inf), which the
+        # Scenario constructors reject
+        dc = derive_constants(interior_scenario)
+        cp = find_max_slack_eps(interior_scenario, dc)
+        values = interior_scenario.values()
+        x0 = np.array([values[k] for k in analysis._PROBE_KEYS])
+        rows = []
+        for i in range(18):
+            for v in (0.0, math.nan, math.inf, 5e-324, 1e300):
+                row = x0.copy()
+                row[i] = v
+                rows.append(analysis._perturbed(row, np.zeros((1, 18)), 0.0)[0])
+        x = np.array(rows)
+        verdicts = [_scalar_verdict(row, cp) for row in x]
+        assert analysis._passes(x, cp).tolist() == verdicts
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestProbeCity:

@@ -166,7 +166,7 @@ class TestConstantsCommand:
         assert "M1 = 0.001737185882352929" in out
         assert "zeta = 49.0" in out
         assert "A3_bound_computed = 0.4653002484762887" in out
-        assert "A3_bound_reference = 23.9" in out
+        assert "A3_bound_reference" not in out  # an unsourced figure, no longer printed
         assert "A3_satisfied = True" in out
 
 
@@ -185,6 +185,13 @@ class TestDwellCommand:
     def test_needs_a_pair(self, plain_file, capsys):
         assert main(["dwell", plain_file]) == 2
         assert "eps_plus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ia", ["nan", "inf"])
+    def test_non_finite_ia_at_switch_is_usage_error(self, ia, capsys):
+        assert main(["dwell", BUNDLED, "--ia-at-switch", ia]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: IA_at_switch must be finite and >= 0, got {ia}\n"
 
     def test_underflowing_off_threshold_is_usage_error(self, capsys):
         # eps_minus**2 underflows to 0, so the up bound would divide by zero

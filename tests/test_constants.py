@@ -8,14 +8,21 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import scalar_reference
 from icufunnel import (
     AssumptionReport,
+    ControllerParams,
     DerivationError,
+    Scenario,
     check_sigma,
     check_sigma_rob,
     derive_constants,
+    in_CZ,
 )
+from icufunnel.model import SCENARIO_KEYS
 from test_model import make_scenario
 
 
@@ -64,6 +71,152 @@ class TestDerivedValues:
         # with no transmission both growth estimates are negative
         sc = make_scenario(beta_A=0.0, beta_S=0.0)
         assert derive_constants(sc).mu == 1e-6
+
+
+# Every derived constant and every A1-A3/A6 lhs and rhs of the bundled city
+# and the interior scenario, as the scalar float code computed them before
+# the derivations ran on columns. Compared with ==, not approx.
+EXACT = {
+    "scenario": (
+        {
+            "N": 100000.0,
+            "phi_plus": 44.0,
+            "S_min": 1.5164527184462828e-15,
+            "beta_tilde": 0.3712,
+            "A_const": 0.354,
+            "B_const": 0.0086,
+            "zeta": 49.0,
+            "K_psi_bar": 0.9823529411764705,
+            "M1": 0.001737185882352929,
+            "M2": 0.00024197065882352938,
+            "M3": 0.4653002484762887,
+            "mu": 0.477,
+            "psi_floor": 0.3045294117647059,
+            "alpha_S_eff": 0.1,
+        },
+        {
+            "A1.1": (0.02, 0.0),
+            "A1.2": (0.15, 1.0),
+            "A1.3": (0.1, 0.1),
+            "A1.4": (1.0, 56.666666666666664),
+            "A1.5": (0.001737185882352929, 0.0),
+            "A2.1": (89950.0, 0.0),
+            "A2.2": (10000.0, 0.0),
+            "A2.3": (1.0, 0.0),
+            "A2.4": (49.0, 49.0),
+            "A3": (44.0, 0.4653002484762887),
+            "A6.1": (12890.51719748017, 1.0),
+            "A6.2": (173.7185882352929, 18.56),
+        },
+    ),
+    "interior_scenario": (
+        {
+            "N": 99991.5,
+            "phi_plus": 44.0,
+            "S_min": 317.2889117450356,
+            "beta_tilde": 0.3712,
+            "A_const": 2.134648604216869,
+            "B_const": 0.0014598322569932683,
+            "zeta": 288.66330222619763,
+            "K_psi_bar": 0.9832352941176471,
+            "M1": 0.06922566197467961,
+            "M2": 0.00034971934967413396,
+            "M3": 0.054169109363315246,
+            "mu": 0.482,
+            "psi_floor": 0.8849117647058824,
+            "alpha_S_eff": 0.1,
+        },
+        {
+            "A1.1": (0.02, 0.0),
+            "A1.2": (0.15, 1.0),
+            "A1.3": (0.095, 0.1),
+            "A1.4": (1.0, 59.64912280701755),
+            "A1.5": (0.06922566197467961, 0.0),
+            "A2.1": (49900.0, 0.0),
+            "A2.2": (50000.0, 0.0),
+            "A2.3": (1.5, 0.0),
+            "A2.4": (90.0, 73.5),
+            "A3": (44.0, 0.054169109363315246),
+            "A6.1": (197219.54419014303, 1.0),
+            "A6.2": (40100.85883000655, 107.23542182369313),
+        },
+    ),
+}
+
+
+class TestExactValues:
+    @pytest.mark.parametrize("name", sorted(EXACT))
+    def test_constants_and_conditions_bit_exact(self, request, name):
+        sc = request.getfixturevalue(name)
+        constants, conditions = EXACT[name]
+        dc = derive_constants(sc)
+        values = {f.name: getattr(dc, f.name) for f in dataclasses.fields(dc)}
+        assert values == constants
+        report = check_sigma_rob(sc, dc)
+        assert {c.name: (c.lhs, c.rhs) for c in report.conditions} == conditions
+        # Python floats and bools, whose repr the CLI prints
+        assert {type(v) for v in values.values()} == {float}
+        assert {type(v) for c in report.conditions for v in (c.lhs, c.rhs)} == {float}
+        assert {type(v) for c in report.conditions for v in (c.passed, c.vacuous)} == {bool}
+
+
+# Ordinary values and the edges where float arithmetic needs care: zeros,
+# subnormals, huge and infinite values, the ends of the unit interval.
+_UNIT_VALUE = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.0]), st.floats(0.0, 1.0))
+_NONNEGATIVE_VALUE = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e300, math.inf]), st.floats(0.0, 1e5))
+_SCENARIO_VALUES = st.fixed_dictionaries({
+    k: _UNIT_VALUE if i < 10 or k == "psi0" else _NONNEGATIVE_VALUE
+    for i, k in enumerate(SCENARIO_KEYS)
+})
+
+
+def _rows(conditions):
+    return repr([(c.name, c.passed, c.lhs, c.rhs, c.vacuous) for c in conditions])
+
+
+class TestMatchesScalarReference:
+    @settings(max_examples=400, deadline=None)
+    @given(values=_SCENARIO_VALUES, fracs=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    # near the interior scenario, where np.exp differs from math.exp in S_min
+    @example(values=dict(
+        beta_A=0.3946, beta_S=0.4431, alpha_A=0.0902, alpha_S=0.0924, p=0.0198, rho=0.1582,
+        gamma_0=1.0, gamma_1=0.9367, psi_bar=0.8633, gamma_K=1.0, S0=46337.1608,
+        IA0=81.2473, IS0=1.4802, R0=52621.9717, D0=0.0, psi0=1.0, n_icu=40.9133, xi=0.0965,
+    ), fracs=(0.5, 0.25))
+    # and where A_const*A_const differs from A_const**2 enough to move B_const
+    @example(values=dict(
+        beta_A=0.3742, beta_S=0.4051, alpha_A=0.0888, alpha_S=0.0771, p=0.0211, rho=0.1543,
+        gamma_0=0.9225, gamma_1=1.0, psi_bar=0.9494, gamma_K=0.9041, S0=51641.5503,
+        IA0=82.8582, IS0=1.5431, R0=45728.0244, D0=0.0, psi0=1.0, n_icu=41.7005, xi=0.0945,
+    ), fracs=(0.5, 0.25))
+    def test_bit_identical_to_per_scenario_floats(self, values, fracs):
+        # repr tells nan from nan-free, -0.0 from 0.0 and a Python float or
+        # bool from a numpy one
+        try:
+            sc = Scenario.from_values(values)
+        except ValueError:
+            return
+        try:
+            expected = scalar_reference.derive(sc)
+        except DerivationError as exc:
+            with pytest.raises(DerivationError) as got:
+                derive_constants(sc)
+            assert str(got.value) == str(exc)
+            return
+        except ZeroDivisionError:
+            return  # a product underflowed to zero; no scalar value to compare
+        dc = derive_constants(sc)
+        assert repr(dataclasses.asdict(dc)) == repr(expected)
+        rob = scalar_reference.rob_conditions(sc, dc)
+        assert _rows(check_sigma_rob(sc, dc).conditions) == repr(rob)
+        assert _rows(check_sigma(sc, dc).conditions) == repr(rob[:10])
+        try:
+            cp = ControllerParams(fracs[0] * dc.phi_plus, fracs[1] * dc.phi_plus, dc.phi_plus)
+            cz = scalar_reference.cz_conditions(cp, sc, dc)
+        except (ValueError, ZeroDivisionError):
+            return  # no such pair, or p = 0 or M1 = 0 (see TestInCZ)
+        assert _rows(in_CZ(cp, sc, dc).conditions) == repr(cz)
 
 
 class TestDerivationErrors:

@@ -164,6 +164,24 @@ class TestInCZ:
             in_CZ(pair8, scenario, dc)
 
 
+    def test_zero_p_fails_a5_without_raising(self, pair8):
+        # q divides by p*N, and p = 0 makes M2 infinite
+        sc = make_scenario(p=0.0)
+        cz = in_CZ(pair8, sc, derive_constants(sc))
+        assert not cz.a4_ok and not cz.a5_ok and not cz.in_cz
+        assert math.isnan(cz.q_value)
+
+    def test_zero_m1_fails_a4_and_a5_without_raising(self, pair8):
+        # M1 = 0 leaves [M2/M1, phi_plus] undefined
+        sc = make_scenario(gamma_K=0.0, psi_bar=1.0, p=0.5, beta_A=0.5, beta_S=0.5,
+                           alpha_A=0.25, S0=49000.0, IA0=999.0, IS0=1.0, R0=50000.0)
+        dc = derive_constants(sc)
+        assert dc.M1 == 0.0
+        cz = in_CZ(pair8, sc, dc)
+        assert cz.ordering_ok and not cz.a4_ok and not cz.a5_ok
+        assert math.isnan(cz._get("A4").rhs) and math.isnan(cz.q_value)
+
+
 class TestFindFeasible:
     def test_default_grid_pair(self, scenario, dc):
         cp = find_feasible_eps(scenario, dc)
@@ -293,6 +311,11 @@ class TestDwellBounds:
     def test_negative_ia_rejected(self, dc, pair8):
         with pytest.raises(ValueError, match="IA_at_switch"):
             dwell_lower_bounds(pair8, dc, -1.0)
+
+    @pytest.mark.parametrize("ia", [math.nan, math.inf])
+    def test_non_finite_ia_rejected(self, dc, pair8, ia):
+        with pytest.raises(ValueError, match="IA_at_switch must be finite"):
+            dwell_lower_bounds(pair8, dc, ia)
 
     def test_overflowing_on_threshold_named(self, dc):
         # (phi_plus - eps_plus)**2 overflows a float
