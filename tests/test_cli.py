@@ -327,3 +327,87 @@ class TestDeterminism:
             first = capsys.readouterr().out
             main(argv)
             assert capsys.readouterr().out == first
+
+
+# Full stdout of each command, taken before the CLI's record printing was
+# shared: any change to a name, an order or a number format shows up here.
+GOLDEN = {
+    "constants": """\
+N = 100000.0
+phi_plus = 44.0
+S_min = 1.5164527184462828e-15
+beta_tilde = 0.3712
+A_const = 0.354
+B_const = 0.0086
+zeta = 49.0
+K_psi_bar = 0.9823529411764705
+M1 = 0.001737185882352929
+M2 = 0.00024197065882352938
+M3 = 0.4653002484762887
+mu = 0.477
+psi_floor = 0.3045294117647059
+alpha_S_eff = 0.1
+A3_bound_computed = 0.4653002484762887
+A3_satisfied = True
+""",
+    "check": """\
+A1.1     PASS  p > 0  [lhs=0.02, rhs=0.0]
+A1.2     PASS  rho < 1  [lhs=0.15, rhs=1.0]
+A1.3     PASS  0 < alpha_A <= alpha_S/(1-rho)  [lhs=0.1, rhs=0.1]
+A1.4     PASS  gamma_K < (1-rho)/(rho*alpha_A)  [lhs=1.0, rhs=56.666666666666664]
+A1.5     PASS  M1 > 0  [lhs=0.001737185882352929, rhs=0.0]
+A2.1     PASS  S0 > 0  [lhs=89950.0, rhs=0.0]
+A2.2     PASS  R0 > 0  [lhs=10000.0, rhs=0.0]
+A2.3     PASS  IS0 > 0  [lhs=1.0, rhs=0.0]
+A2.4     PASS  IA0 >= (1-p)/p * IS0  [lhs=49.0, rhs=49.0]
+A3       PASS  phi_plus > max{M2/M1, M3}  [lhs=44.0, rhs=0.4653002484762887]
+A6.1     PASS  (1/M2 - (1-rho)/alpha_S) * (p*N*M1 - p*R0*M1 - M2) > 1  [lhs=12890.51719748017, rhs=1.0]
+A6.2     PASS  p*N*M1*(zeta+1) > beta_A*zeta + beta_S  [lhs=173.7185882352929, rhs=18.56]
+Sigma membership: PASS
+Sigma_rob membership: PASS
+""",
+    "feasible": """\
+eps_plus = 28.414513289689637
+eps_minus = 7.7927433551551815
+phi_plus = 44.0
+in_CZ = True
+""",
+    "dwell": """\
+down_bound = 14.469189829363254
+up_bound = 6.066746259691092
+""",
+    "simulate": """\
+D_max = 11.387936067113136
+total_infected_proxy = 5876.593394818818
+input_cost = 14.777301047545077
+switch_count = 1
+min_observed_dwell = inf
+pandemic_end = 0.0
+max_IS = 42.4057488481473
+icu_bound_satisfied = True
+pandemic_over = False
+""",
+    "robust": """\
+eps_plus = 37.91140136740129
+eps_minus = 3.044299316299355
+delta = 0.001
+samples = 256
+pass_fraction = 1.0
+certified_delta = 0.001
+""",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_full_stdout_pinned(self, command, tmp_path, interior_scenario, capsys):
+        if command == "robust":
+            argv = ["robust", write(tmp_path, scenario_file_text(interior_scenario))]
+        elif command == "simulate":
+            argv = ["simulate", BUNDLED, "--horizon", "30", "--eps-plus", "10", "--eps-minus", "8"]
+        else:
+            argv = [command, BUNDLED]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == GOLDEN[command]
+        assert captured.err == ""
