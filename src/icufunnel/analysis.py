@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import (
-    DerivedConstants, _derive, _sigma_rob_conditions, check_sigma_rob, derive_constants,
+    DerivedConstants, _derive, _div, _sigma_rob_conditions, check_sigma_rob, derive_constants,
 )
 # q_eval is not called here; it stays bound because the benchmark tracer hooks analysis.q_eval
 from .controller import ControllerParams, _cz_conditions, _q, in_CZ, q_eval  # noqa: F401
@@ -107,7 +107,8 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-@np.errstate(invalid="ignore")  # an infinite coordinate may give nan, which _passes rejects
+# an infinite coordinate may give nan and a huge one overflow to inf; _passes rejects both
+@np.errstate(invalid="ignore", over="ignore")
 def _perturbed(x0: np.ndarray, directions: np.ndarray, delta: float) -> np.ndarray:
     # relative perturbation coordinate-wise, absolute fallback at exact zeros
     scale = np.where(x0 != 0.0, np.abs(x0), 1.0)
@@ -127,9 +128,10 @@ def _passes(x: np.ndarray, cp: ControllerParams) -> np.ndarray:
     """
     scenario = _columns(dict(zip(_PROBE_KEYS, x.T)))
     dc, undefined = _derive(scenario)
-    # After clipping, the constructors reject only nan coordinates and a zero
-    # capacity bound (a zero population has R0 = 0, which is undefined).
-    ok = ~np.isnan(x).any(axis=1) & (dc.phi_plus > 0.0)
+    # After clipping, the constructors reject only non-finite coordinates and a
+    # zero or infinite capacity bound (a zero population has R0 = 0, which is
+    # undefined).
+    ok = np.isfinite(x).all(axis=1) & (dc.phi_plus > 0.0) & (dc.phi_plus < np.inf)
     for rows, _ in undefined:
         ok &= ~rows
     for c in _sigma_rob_conditions(scenario, dc) + _cz_conditions(cp, scenario, dc):
@@ -198,6 +200,7 @@ def robustness_probe(
     )
 
 
+@np.errstate(all="ignore")
 def q_monotonicity_check(
     scenario: Scenario,
     dc: DerivedConstants,
@@ -209,11 +212,13 @@ def q_monotonicity_check(
     grid is that many points, endpoints included). Analytically: the closed
     forms require q1 > 0 at the left endpoint and a positive slope
     coefficient p*(zeta+1)*M1 - z/N; both follow from A6. Always returns a
-    report (a q evaluation failure shows up as a grid violation with nan).
+    report (a q evaluation failure shows up as a grid violation with nan,
+    and degenerate constants such as M1 = 0 or p = 0 give a report that is
+    not all_ok).
     """
     pm = scenario.params
     ini = scenario.init
-    lo = dc.M2 / dc.M1
+    lo = _div(dc.M2, dc.M1)  # a numpy float: the divisions by p*N below may be by zero
     hi = dc.phi_plus
     if isinstance(grid, int):
         pts = np.linspace(lo, hi, max(grid, 2))
@@ -243,8 +248,8 @@ def q_monotonicity_check(
     return QMonotonicityReport(
         monotone_on_grid=monotone,
         first_violation=first_violation,
-        q1_at_left=q1_left,
-        q1_at_left_positive=q1_left > 0.0,
+        q1_at_left=float(q1_left),
+        q1_at_left_positive=bool(q1_left > 0.0),
         slope_coefficient=slope_coeff,
         slope_positive=slope_coeff > 0.0,
     )

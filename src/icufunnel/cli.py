@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .analysis import RobustnessResult, SweepResult, robustness_probe, sweep_eps_minus
+from .analysis import SweepResult, SweepRow, robustness_probe, sweep_eps_minus
 from .constants import (
     AssumptionReport,
     DerivationError,
-    DerivedConstants,
     check_sigma,
     check_sigma_rob,
     derive_constants,
@@ -64,8 +63,12 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 
-_CONTROLLER_KEYS = ("eps_plus", "eps_minus")
-_SIM_KEYS = ("horizon", "output_dt", "rtol", "atol", "event_time_tol")
+# The [controller] and [sim] keys are the dataclass fields, less phi_plus (the
+# scenario's capacity sets it) and open_loop_u (only --open-loop sets it).
+_CONTROLLER_KEYS = tuple(
+    f.name for f in dataclasses.fields(ControllerParams) if f.name != "phi_plus"
+)
+_SIM_KEYS = tuple(f.name for f in dataclasses.fields(SimConfig) if f.name != "open_loop_u")
 
 
 class ScenarioFileError(ValueError):
@@ -94,15 +97,6 @@ class ScenarioFile:
         overrides = {"horizon": horizon, "open_loop_u": open_loop_u}
         overrides = {k: v for k, v in overrides.items() if v is not None}
         return SimConfig(**{**self.sim, **overrides})
-
-
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ScenarioFileError(
-            f"invalid number for key '{key}' in [{section}]: {raw!r}"
-        ) from None
 
 
 def load_scenario_file(path: str | Path) -> ScenarioFile:
@@ -146,8 +140,13 @@ def load_scenario_file(path: str | Path) -> ScenarioFile:
         for key in required:
             if key not in proxy:
                 raise ScenarioFileError(f"missing required key '{key}' in [{section}]")
-        for key in proxy:
-            values[key] = _parse_float(section, key, proxy[key])
+        for key, raw in proxy.items():
+            try:
+                values[key] = float(raw)
+            except ValueError:
+                raise ScenarioFileError(
+                    f"invalid number for key '{key}' in [{section}]: {raw!r}"
+                ) from None
 
     try:
         scenario = Scenario.from_values(values)
@@ -179,14 +178,12 @@ def scenario_file_text(
     Round-trip exact: load_scenario_file on the result reproduces the
     identical Scenario value.
     """
-    lines = ["[scenario]"]
-    lines += [f"{k} = {v!r}" for k, v in scenario.values().items()]
+    text = "[scenario]\n" + "".join(f"{k} = {v!r}\n" for k, v in scenario.values().items())
     if eps_plus is not None and eps_minus is not None:
-        lines += ["", "[controller]", f"eps_plus = {eps_plus!r}", f"eps_minus = {eps_minus!r}"]
+        text += f"\n[controller]\neps_plus = {eps_plus!r}\neps_minus = {eps_minus!r}\n"
     if sim is not None:
-        lines += ["", "[sim]"]
-        lines += [f"{k} = {getattr(sim, k)!r}" for k in _SIM_KEYS]
-    return "\n".join(lines) + "\n"
+        text += "\n[sim]\n" + _record_text(sim, _SIM_KEYS)
+    return text
 
 
 def bundled_scenario_path(name: str = "example_city") -> Path:
@@ -198,10 +195,11 @@ def bundled_scenario_path(name: str = "example_city") -> Path:
 # report and CSV rendering
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _record_text(record, names: Sequence[str] | None = None) -> str:
+    """One `name = repr(value)` line per field of a dataclass record, or per name."""
+    if names is None:
+        names = [f.name for f in dataclasses.fields(record)]
+    return "".join(f"{name} = {getattr(record, name)!r}\n" for name in names)
 
 
 def assumption_report_text(report: AssumptionReport) -> str:
@@ -210,8 +208,7 @@ def assumption_report_text(report: AssumptionReport) -> str:
         verdict = "PASS" if c.passed else "FAIL"
         note = " (vacuous)" if c.vacuous else ""
         lines.append(
-            f"{c.name:<9}{verdict}{note}  {c.description}"
-            f"  [lhs={_fmt(c.lhs)}, rhs={_fmt(c.rhs)}]"
+            f"{c.name:<9}{verdict}{note}  {c.description}  [lhs={c.lhs!r}, rhs={c.rhs!r}]"
         )
     lines.append(f"Sigma membership: {'PASS' if report.in_sigma else 'FAIL'}")
     if report.has_a6:
@@ -222,11 +219,7 @@ def assumption_report_text(report: AssumptionReport) -> str:
 
 
 def run_report_text(report: RunReport) -> str:
-    lines = [
-        f"{f.name} = {_fmt(getattr(report, f.name))}"
-        for f in dataclasses.fields(RunReport)
-    ]
-    return "\n".join(lines) + "\n"
+    return _record_text(report)
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:
@@ -244,47 +237,40 @@ def events_csv_text(traj: Trajectory) -> str:
 
 
 def sweep_csv_text(result: SweepResult) -> str:
+    # str() of a float is its repr, and csv writes None as an empty cell
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["eps_minus", "D_max", "switch_count", "pandemic_end",
-                     "input_cost", "max_IS", "error"])
-    for row in result.rows:
-        writer.writerow([
-            repr(row.eps_minus), repr(row.D_max), str(row.switch_count),
-            repr(row.pandemic_end), repr(row.input_cost), repr(row.max_IS),
-            row.error or "",
-        ])
+    writer.writerow(f.name for f in dataclasses.fields(SweepRow))
+    writer.writerows(dataclasses.astuple(row) for row in result.rows)
     return buf.getvalue()
-
-
-def robustness_text(result: RobustnessResult) -> str:
-    lines = [
-        f"delta = {result.delta!r}",
-        f"samples = {result.samples}",
-        f"pass_fraction = {result.pass_fraction!r}",
-        f"certified_delta = {result.certified_delta!r}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _resolve_cp(sf: ScenarioFile, args) -> ControllerParams | None:
-    ep = getattr(args, "eps_plus", None)
-    em = getattr(args, "eps_minus", None)
-    ep = sf.eps_plus if ep is None else ep
-    em = sf.eps_minus if em is None else em
+def _flag_or_file(sf: ScenarioFile, args, key: str) -> float | None:
+    """A [controller] value from its command-line flag, else from the file."""
+    flag = getattr(args, key, None)
+    return getattr(sf, key) if flag is None else flag
+
+
+def _resolve_cp(sf: ScenarioFile, args, required: bool = True) -> ControllerParams | None:
+    """The threshold pair from the flags or the file; None if incomplete and not required."""
+    ep, em = (_flag_or_file(sf, args, key) for key in _CONTROLLER_KEYS)
     if ep is None or em is None:
+        if required:
+            raise ValueError(
+                f"{args.command} needs eps_plus and eps_minus "
+                "(a [controller] section or --eps-plus/--eps-minus)"
+            )
         return None
     return ControllerParams(
         eps_plus=ep, eps_minus=em, phi_plus=sf.scenario.capacity.phi_plus(),
     )
 
 
-def cmd_check(args) -> int:
-    sf = load_scenario_file(args.scenario)
+def cmd_check(sf: ScenarioFile, args) -> int:
     try:
         dc = derive_constants(sf.scenario)
     except DerivationError as exc:
@@ -295,28 +281,20 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.in_sigma else EXIT_VERDICT
 
 
-def cmd_constants(args) -> int:
-    sf = load_scenario_file(args.scenario)
+def cmd_constants(sf: ScenarioFile, args) -> int:
     dc = derive_constants(sf.scenario)
-    for f in dataclasses.fields(DerivedConstants):
-        print(f"{f.name} = {_fmt(getattr(dc, f.name))}")
     a3 = next(c for c in check_sigma(sf.scenario, dc).conditions if c.name == "A3")
-    print(f"A3_bound_computed = {_fmt(a3.rhs)}")
+    print(_record_text(dc), end="")
+    print(f"A3_bound_computed = {a3.rhs!r}")
     print(f"A3_satisfied = {a3.passed}")
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    sf = load_scenario_file(args.scenario)
+def cmd_simulate(sf: ScenarioFile, args) -> int:
     if args.open_loop is not None and args.open_loop not in (0, 1):
         raise ValueError(f"--open-loop takes 0 or 1, got {args.open_loop!r}")
     cfg = sf.sim_config(open_loop_u=args.open_loop, horizon=args.horizon)
-    cp = _resolve_cp(sf, args)
-    if args.open_loop is None and cp is None:
-        raise ValueError(
-            "closed-loop run needs eps_plus and eps_minus "
-            "(a [controller] section or --eps-plus/--eps-minus)"
-        )
+    cp = _resolve_cp(sf, args, required=args.open_loop is None)
     traj, report = simulate(sf.scenario, cp, cfg)
     if args.out:
         Path(args.out).write_text(trajectory_csv_text(traj), encoding="utf-8")
@@ -329,52 +307,36 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_dwell(args) -> int:
-    sf = load_scenario_file(args.scenario)
+def cmd_dwell(sf: ScenarioFile, args) -> int:
     dc = derive_constants(sf.scenario)
-    cp = _resolve_cp(sf, args)
-    if cp is None:
-        raise ValueError(
-            "dwell needs eps_plus and eps_minus "
-            "(a [controller] section or --eps-plus/--eps-minus)"
-        )
-    bounds = dwell_lower_bounds(cp, dc, args.ia_at_switch)
+    bounds = dwell_lower_bounds(_resolve_cp(sf, args), dc, args.ia_at_switch)
     print(f"down_bound = {bounds.down_bound!r}")
     suffix = "" if bounds.up_is_informative else "  (no information)"
     print(f"up_bound = {bounds.up_bound!r}{suffix}")
     return EXIT_OK
 
 
-def cmd_feasible(args) -> int:
-    sf = load_scenario_file(args.scenario)
+def cmd_feasible(sf: ScenarioFile, args) -> int:
     dc = derive_constants(sf.scenario)
     cp = find_feasible_eps(sf.scenario, dc, grid=args.grid)
     cz = in_CZ(cp, sf.scenario, dc)
-    print(f"eps_plus = {cp.eps_plus!r}")
-    print(f"eps_minus = {cp.eps_minus!r}")
-    print(f"phi_plus = {cp.phi_plus!r}")
+    print(_record_text(cp), end="")
     print(f"in_CZ = {cz.in_cz}")
     return EXIT_OK if cz.in_cz else EXIT_VERDICT
 
 
-def cmd_robust(args) -> int:
-    sf = load_scenario_file(args.scenario)
+def cmd_robust(sf: ScenarioFile, args) -> int:
     dc = derive_constants(sf.scenario)
-    cp = _resolve_cp(sf, args)
-    if cp is None:
-        cp = find_max_slack_eps(sf.scenario, dc)
+    cp = _resolve_cp(sf, args, required=False) or find_max_slack_eps(sf.scenario, dc)
     result = robustness_probe(
         sf.scenario, cp, delta=args.delta, samples=args.samples, seed=args.seed,
     )
-    print(f"eps_plus = {cp.eps_plus!r}")
-    print(f"eps_minus = {cp.eps_minus!r}")
-    print(robustness_text(result), end="")
+    print(_record_text(cp, _CONTROLLER_KEYS) + _record_text(result), end="")
     return EXIT_OK if result.pass_fraction == 1.0 else EXIT_VERDICT
 
 
-def cmd_sweep(args) -> int:
-    sf = load_scenario_file(args.scenario)
-    ep = args.eps_plus if args.eps_plus is not None else sf.eps_plus
+def cmd_sweep(sf: ScenarioFile, args) -> int:
+    ep = _flag_or_file(sf, args, "eps_plus")
     if ep is None:
         raise ValueError("sweep needs eps_plus (a [controller] section or --eps-plus)")
     tokens = [tok.strip() for tok in args.eps_minus_list.split(",")]
@@ -400,28 +362,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_: str):
+    def add(name: str, func, help_: str, pair: Sequence[str] = ()):
         p = sub.add_parser(name, help=help_)
         p.add_argument("scenario", help="path to a scenario file")
+        for key in pair:  # [controller] keys this command also takes as flags
+            p.add_argument(f"--{key.replace('_', '-')}", type=float)
         p.set_defaults(func=func)
         return p
 
     add("check", cmd_check, "evaluate admissibility conditions A1-A3 and A6")
     add("constants", cmd_constants, "print all derived constants")
 
-    p = add("simulate", cmd_simulate, "run one simulation and emit CSV/report")
+    p = add("simulate", cmd_simulate, "run one simulation and emit CSV/report", _CONTROLLER_KEYS)
     p.add_argument("--open-loop", nargs="?", const=0, type=int, default=None,
                    metavar="U", help="fixed input (default 0 when given)")
-    p.add_argument("--eps-plus", type=float, default=None)
-    p.add_argument("--eps-minus", type=float, default=None)
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--out", default=None, help="trajectory CSV path")
     p.add_argument("--events-out", default=None, help="events CSV path")
     p.add_argument("--report-out", default=None, help="report text path")
 
-    p = add("dwell", cmd_dwell, "print dwell-time lower bounds")
-    p.add_argument("--eps-plus", type=float, default=None)
-    p.add_argument("--eps-minus", type=float, default=None)
+    p = add("dwell", cmd_dwell, "print dwell-time lower bounds", _CONTROLLER_KEYS)
     p.add_argument("--ia-at-switch", type=float, default=0.0,
                    help="mild-case count at the switch-off instant")
 
@@ -430,15 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("robust", cmd_robust,
             "sample scenario perturbations; with no pair given, probe the "
-            "find_max_slack_eps pair (certified by A4/A5, not proven sound)")
+            "find_max_slack_eps pair (certified by A4/A5, not proven sound)",
+            _CONTROLLER_KEYS)
     p.add_argument("--delta", type=float, default=1e-3)
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps-plus", type=float, default=None)
-    p.add_argument("--eps-minus", type=float, default=None)
 
-    p = add("sweep", cmd_sweep, "closed-loop summary per off-threshold value")
-    p.add_argument("--eps-plus", type=float, default=None)
+    p = add("sweep", cmd_sweep, "closed-loop summary per off-threshold value", ["eps_plus"])
     p.add_argument("--eps-minus-list", required=True,
                    help="comma-separated off-threshold values, e.g. 8,20")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
@@ -447,25 +405,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ScenarioFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return args.func(load_scenario_file(args.scenario), args)
     except InfeasibleError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_VERDICT
-    except (PreconditionError, DerivationError) as exc:
+    except (PreconditionError, DerivationError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    except ValueError as exc:
+    except ValueError as exc:  # includes ScenarioFileError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
 
 
 if __name__ == "__main__":

@@ -186,7 +186,8 @@ def q_eval(eps: float, dc: DerivedConstants, scenario: Scenario) -> float:
         QEvalDomainError: q is undefined at eps (its denominator is not
             positive there).
     """
-    lo = dc.M2 / dc.M1
+    with np.errstate(all="ignore"):
+        lo = float(_div(dc.M2, dc.M1))  # inf or nan at M1 = 0, which warns below
     if not (lo <= eps <= dc.phi_plus):
         warnings.warn(
             f"q evaluated at eps={eps!r}, outside [M2/M1, phi_plus] = "

@@ -13,6 +13,7 @@ Everything here is a pure value or a pure function; simulation lives in
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from operator import itemgetter
@@ -33,9 +34,11 @@ def _require_unit_interval(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-def _require_nonnegative(name: str, value: float) -> None:
+def _require_finite_nonnegative(name: str, value: float) -> None:
     if not value >= 0.0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got inf")
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ class EpidemicParams:
 
 @dataclass(frozen=True)
 class InitialState:
-    """Initial compartment values (individuals) and response level psi0."""
+    """Initial compartment values (finite, individuals) and response level psi0."""
 
     S0: float
     IA0: float
@@ -87,7 +90,7 @@ class InitialState:
 
     def __post_init__(self) -> None:
         for name in ("S0", "IA0", "IS0", "R0", "D0"):
-            _require_nonnegative(name, getattr(self, name))
+            _require_finite_nonnegative(name, getattr(self, name))
         _require_unit_interval("psi0", self.psi0)
 
 
@@ -95,18 +98,20 @@ class InitialState:
 class CapacityPolicy:
     """ICU capacity and the tolerated relative overshoot.
 
-    The upper corridor boundary for I_S is phi_plus() = (1 + xi) * n_icu;
-    the lower boundary is fixed at zero.
+    The upper corridor boundary for I_S is phi_plus() = (1 + xi) * n_icu,
+    which must be positive and finite; the lower boundary is fixed at zero.
     """
 
     n_icu: float
     xi: float
 
     def __post_init__(self) -> None:
-        _require_nonnegative("n_icu", self.n_icu)
-        _require_nonnegative("xi", self.xi)
-        if not (1.0 + self.xi) * self.n_icu > 0.0:
+        _require_finite_nonnegative("n_icu", self.n_icu)
+        _require_finite_nonnegative("xi", self.xi)
+        if not self.phi_plus() > 0.0:
             raise ValueError("capacity bound (1 + xi) * n_icu must be > 0")
+        if self.phi_plus() == math.inf:
+            raise ValueError("capacity bound (1 + xi) * n_icu must be finite")
 
     def phi_plus(self) -> float:
         return (1.0 + self.xi) * self.n_icu

@@ -40,6 +40,7 @@ from icufunnel import (
 from icufunnel import analysis
 from icufunnel.model import SCENARIO_KEYS
 from test_constants import A_CONST_OVERFLOW
+from test_controller import ZERO_M1
 from test_model import make_scenario
 
 
@@ -134,18 +135,22 @@ class TestBatchedVerdicts:
 
     def test_edge_rows_match_the_scalar_path(self, interior_scenario):
         # the interior scenario with one coordinate at an edge value; a zero
-        # radius turns an infinite coordinate into nan (0 * inf), which the
-        # Scenario constructors reject
+        # radius turns an infinite coordinate into nan (0 * inf), and radius
+        # 0.9 along that coordinate overflows 1e308 to inf: the Scenario
+        # constructors reject both
         dc = derive_constants(interior_scenario)
         cp = find_max_slack_eps(interior_scenario, dc)
         values = interior_scenario.values()
         x0 = np.array([values[k] for k in analysis._PROBE_KEYS])
         rows = []
         for i in range(18):
-            for v in (0.0, math.nan, math.inf, 5e-324, 1e300):
+            direction = np.zeros((1, 18))
+            direction[0, i] = 1.0
+            for v in (0.0, math.nan, math.inf, 5e-324, 1e300, 1e308):
                 row = x0.copy()
                 row[i] = v
-                rows.append(analysis._perturbed(row, np.zeros((1, 18)), 0.0)[0])
+                for radius in (0.0, 0.9):
+                    rows.append(analysis._perturbed(row, direction, radius)[0])
         x = np.array(rows)
         verdicts = [_scalar_verdict(row, cp) for row in x]
         assert analysis._passes(x, cp).tolist() == verdicts
@@ -252,6 +257,15 @@ class TestQMonotonicity:
                                                       rel=1e-12)
         assert not rep.slope_positive
         assert not rep.all_ok
+
+    @pytest.mark.parametrize("changes", [{"p": 0.0}, ZERO_M1], ids=["p0", "M1_0"])
+    def test_degenerate_constants_give_a_failed_report(self, changes):
+        # p = 0 makes M2/M1 infinite and q1 divide by p*N = 0; M1 = 0 makes
+        # M2/M1 divide by zero: a report, no exception and no warning
+        sc = make_scenario(**changes)
+        rep = q_monotonicity_check(sc, derive_constants(sc))
+        assert not rep.monotone_on_grid and not rep.all_ok
+        assert math.isnan(rep.q1_at_left) and type(rep.q1_at_left) is float
 
     def test_turnover_located_by_explicit_grid(self, lowp):
         sc, dc = lowp

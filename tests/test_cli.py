@@ -1,8 +1,14 @@
 """Scenario-file round trips, error reporting, command exit codes."""
 
 import dataclasses
+import io
+import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icufunnel import SimConfig
 from icufunnel.cli import (
@@ -12,6 +18,7 @@ from icufunnel.cli import (
     main,
     scenario_file_text,
 )
+from icufunnel.model import SCENARIO_KEYS
 from test_constants import A_CONST_OVERFLOW
 from test_model import make_scenario
 
@@ -99,6 +106,13 @@ class TestFileErrors:
         text = scenario_file_text(scenario).replace("p = 0.02", "p = 1.5")
         with pytest.raises(ScenarioFileError, match="invalid scenario"):
             load_scenario_file(write(tmp_path, text))
+
+    def test_infinite_value_is_usage_error(self, tmp_path, scenario, capsys):
+        text = scenario_file_text(scenario).replace("S0 = 89950.0", "S0 = inf")
+        assert main(["check", write(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid scenario: S0 must be finite, got inf\n"
 
     def test_partial_controller_section(self, tmp_path, scenario):
         text = scenario_file_text(scenario) + "\n[controller]\neps_plus = 10.0\n"
@@ -329,8 +343,8 @@ class TestDeterminism:
             assert capsys.readouterr().out == first
 
 
-# Full stdout of each command, taken before the CLI's record printing was
-# shared: any change to a name, an order or a number format shows up here.
+# Full stdout of each command, byte for byte: a change to a field name, a
+# line order or a number format shows up here.
 GOLDEN = {
     "constants": """\
 N = 100000.0
@@ -411,3 +425,41 @@ class TestGoldenOutput:
         captured = capsys.readouterr()
         assert captured.out == GOLDEN[command]
         assert captured.err == ""
+
+
+class TestNoTraceback:
+    EDGE_VALUES = (0.0, -1.0, 5e-324, 1e300, math.inf, math.nan)
+    # simulate is left out: a coordinate at 1e300 overflows inside the ODE solver
+    COMMANDS = (["check"], ["constants"], ["dwell"], ["feasible", "--grid", "200"],
+                ["robust", "--samples", "8"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_command_ends_in_an_exit_code(
+        self, scenario, interior_scenario, tmp_path_factory, data,
+    ):
+        # the city or the interior scenario with one to three coordinates at
+        # edge values, maybe a missing or an unknown key, maybe a pair
+        values = data.draw(st.sampled_from([scenario, interior_scenario])).values()
+        values.update(data.draw(st.dictionaries(
+            st.sampled_from(SCENARIO_KEYS), st.sampled_from(self.EDGE_VALUES),
+            min_size=1, max_size=3)))
+        missing = data.draw(st.none() | st.sampled_from(SCENARIO_KEYS))
+        lines = ["[scenario]"] + [f"{k} = {v!r}" for k, v in values.items() if k != missing]
+        if data.draw(st.booleans(), label="unknown key"):
+            lines.append("seed = 3")
+        if data.draw(st.booleans(), label="pair"):
+            lines += ["[controller]", "eps_plus = 10.0", "eps_minus = 8.0"]
+        path = tmp_path_factory.getbasetemp() / "edge_values.ini"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        for command in self.COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    redirect_stdout(out), redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([command[0], str(path), *command[1:]])
+            assert code in (0, 1, 2), command
+            assert [str(w.message) for w in caught] == [], command
+            if code != 0 and not out.getvalue():
+                assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), command

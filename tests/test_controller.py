@@ -27,6 +27,9 @@ from icufunnel.controller import _q
 from test_model import make_scenario
 
 _TWO_PERCENT = st.floats(min_value=0.98, max_value=1.02)
+# a city variant with M1 = 0, which leaves [M2/M1, phi_plus] undefined
+ZERO_M1 = dict(gamma_K=0.0, psi_bar=1.0, p=0.5, beta_A=0.5, beta_S=0.5,
+               alpha_A=0.25, S0=49000.0, IA0=999.0, IS0=1.0, R0=50000.0)
 
 
 @pytest.fixture()
@@ -100,6 +103,15 @@ class TestQEval:
         with pytest.warns(QEvalRangeWarning), pytest.raises(QEvalDomainError):
             q_eval(-60.0, dc, scenario)
 
+    def test_zero_m1_warns_then_evaluates(self):
+        # M2/M1 is inf, so every eps lies outside the range
+        sc = make_scenario(**ZERO_M1)
+        dc = derive_constants(sc)
+        assert dc.M1 == 0.0
+        with pytest.warns(QEvalRangeWarning, match=r"\[inf, 44.0\]"):
+            q = q_eval(10.0, dc, sc)
+        assert q == float(_q(10.0, dc, sc)) and type(q) is float
+
     def test_kernel_gives_nan_far_left(self, scenario, dc):
         assert math.isnan(_q(-60.0, dc, scenario))
         assert np.isnan(_q(np.array([-60.0]), dc, scenario)).all()
@@ -172,9 +184,7 @@ class TestInCZ:
         assert math.isnan(cz.q_value)
 
     def test_zero_m1_fails_a4_and_a5_without_raising(self, pair8):
-        # M1 = 0 leaves [M2/M1, phi_plus] undefined
-        sc = make_scenario(gamma_K=0.0, psi_bar=1.0, p=0.5, beta_A=0.5, beta_S=0.5,
-                           alpha_A=0.25, S0=49000.0, IA0=999.0, IS0=1.0, R0=50000.0)
+        sc = make_scenario(**ZERO_M1)
         dc = derive_constants(sc)
         assert dc.M1 == 0.0
         cz = in_CZ(pair8, sc, dc)

@@ -50,6 +50,11 @@ class TestInitialState:
         with pytest.raises(ValueError, match="IA0"):
             InitialState(**dict(INIT, IA0=-1.0))
 
+    @pytest.mark.parametrize("field", ["S0", "IA0", "IS0", "R0", "D0"])
+    def test_rejects_infinite_compartment(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            InitialState(**dict(INIT, **{field: math.inf}))
+
     def test_rejects_psi0_outside_unit(self):
         with pytest.raises(ValueError, match="psi0"):
             InitialState(**dict(INIT, psi0=1.5))
@@ -70,6 +75,15 @@ class TestCapacityPolicy:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="xi"):
             CapacityPolicy(n_icu=40.0, xi=-0.1)
+
+
+    @pytest.mark.parametrize("n_icu,xi,name", [
+        (math.inf, 0.1, "n_icu"), (40.0, math.inf, "xi"), (1e300, 1e300, "capacity bound"),
+    ])
+    def test_infinite_rejected(self, n_icu, xi, name):
+        # (1 + xi) * n_icu overflows to inf in the last case
+        with pytest.raises(ValueError, match=f"{name} .*must be finite"):
+            CapacityPolicy(n_icu=n_icu, xi=xi)
 
 
 class TestScenario:
