@@ -118,6 +118,7 @@ def _perturbed(x0: np.ndarray, directions: np.ndarray, delta: float) -> np.ndarr
     return x
 
 
+@np.errstate(over="ignore")  # the population sum may overflow
 def _passes(x: np.ndarray, cp: ControllerParams) -> np.ndarray:
     """Which rows of x (scenarios in _PROBE_KEYS order) keep cp admissible.
 
@@ -128,10 +129,11 @@ def _passes(x: np.ndarray, cp: ControllerParams) -> np.ndarray:
     """
     scenario = _columns(dict(zip(_PROBE_KEYS, x.T)))
     dc, undefined = _derive(scenario)
-    # After clipping, the constructors reject only non-finite coordinates and a
-    # zero or infinite capacity bound (a zero population has R0 = 0, which is
-    # undefined).
+    # After clipping, the constructors reject only non-finite coordinates, a
+    # zero or infinite capacity bound and an infinite population (a zero
+    # population has R0 = 0, which is undefined).
     ok = np.isfinite(x).all(axis=1) & (dc.phi_plus > 0.0) & (dc.phi_plus < np.inf)
+    ok &= Scenario.population(scenario) < np.inf
     for rows, _ in undefined:
         ok &= ~rows
     for c in _sigma_rob_conditions(scenario, dc) + _cz_conditions(cp, scenario, dc):

@@ -116,7 +116,8 @@ def load_scenario_file(path: str | Path) -> ScenarioFile:
     except OSError as exc:
         raise ScenarioFileError(f"cannot read {path}: {exc}") from None
     except configparser.Error as exc:
-        raise ScenarioFileError(str(exc)) from None
+        # a syntax error's message spans lines (file and line number, then the text)
+        raise ScenarioFileError(" ".join(part.strip() for part in str(exc).splitlines())) from None
 
     sections = set(parser.sections())
     unknown_sections = sections - {"scenario", "controller", "sim"}

@@ -255,6 +255,11 @@ def _require_sigma(scenario: Scenario, dc: DerivedConstants) -> None:
             raise InfeasibleError(f"infeasible: {group}")
 
 
+def _pair_at(on: float, dc: DerivedConstants) -> ControllerParams:
+    """The pair whose on threshold is on, with the off threshold at on/2."""
+    return ControllerParams(eps_plus=dc.phi_plus - on, eps_minus=on / 2.0, phi_plus=dc.phi_plus)
+
+
 def find_feasible_eps(
     scenario: Scenario,
     dc: DerivedConstants,
@@ -301,12 +306,7 @@ def find_feasible_eps(
         raise InfeasibleError(
             "infeasible: no grid point with q(eps) < phi_plus (numerical trouble?)"
         )
-    best = float(feasible.max())
-    return ControllerParams(
-        eps_plus=dc.phi_plus - best,
-        eps_minus=best / 2.0,
-        phi_plus=dc.phi_plus,
-    )
+    return _pair_at(float(feasible.max()), dc)
 
 
 def find_max_slack_eps(scenario: Scenario, dc: DerivedConstants) -> ControllerParams:
@@ -353,12 +353,7 @@ def find_max_slack_eps(scenario: Scenario, dc: DerivedConstants) -> ControllerPa
             lo = mid
         else:
             hi = mid
-    on = lo  # the side where A5 keeps at least the other slacks
-    return ControllerParams(
-        eps_plus=dc.phi_plus - on,
-        eps_minus=on / 2.0,
-        phi_plus=dc.phi_plus,
-    )
+    return _pair_at(lo, dc)  # the side where A5 keeps at least the other slacks
 
 
 def _down_dwell_bound(cp: ControllerParams, dc: DerivedConstants) -> float:

@@ -26,6 +26,7 @@ __all__ = [
     "Scenario",
     "State",
     "SCENARIO_KEYS",
+    "derivatives",
 ]
 
 
@@ -119,7 +120,10 @@ class CapacityPolicy:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete problem instance: parameters, initial data, capacity."""
+    """A complete problem instance: parameters, initial data, capacity.
+
+    The total initial population must be positive and finite.
+    """
 
     params: EpidemicParams
     init: InitialState
@@ -128,6 +132,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.population() > 0.0:
             raise ValueError("total initial population must be > 0")
+        if self.population() == math.inf:
+            raise ValueError("total initial population must be finite")
 
     def population(self) -> float:
         """Conserved total N = S0 + IA0 + IS0 + R0 + D0."""

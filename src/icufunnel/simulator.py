@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 from scipy.integrate import RK45, solve_ivp
@@ -153,6 +154,17 @@ class Trajectory:
         i = bisect_right(self.events, t, key=lambda ev: ev.t)
         return self.events[i - 1].u_new if i else self.u0
 
+    def _phases(self) -> list[tuple[float, float, int]]:
+        """The input path as (start, end, u) pieces, one per constant stretch.
+
+        u0 holds from 0 to the first event, each event's u_new from its time
+        to the next event's or the horizon. An event at t = 0 leaves a
+        zero-length first piece, so piece i + 1 always starts at event i.
+        """
+        starts = [0.0, *(ev.t for ev in self.events)]
+        us = [self.u0, *(ev.u_new for ev in self.events)]
+        return list(zip(starts, [*starts[1:], self.horizon], us))
+
 
 @dataclass(frozen=True)
 class RunReport:
@@ -223,7 +235,8 @@ def simulate(
 
     Raises:
         PreconditionError: closed-loop start set violated.
-        IntegrationError: the integrator failed inside a phase.
+        IntegrationError: the integrator failed inside a phase, or hit a
+            floating-point overflow, invalid operation or division by zero.
         ChatteringError: more than MAX_SWITCHES events, or an event at
             a phase start (zero-length phase).
         ValueError: neither cp nor cfg.open_loop_u provided.
@@ -284,10 +297,15 @@ def simulate(
             # the relay would leave mode _u here (never in open loop)
             return not open_loop and control_update(y[2], _u, cp) != _u
 
-        sol = solve_ivp(
-            rhs, (t_cur, cfg.horizon), y_cur, method=_StopAtGuard, guard=fires,
-            dense_output=True, rtol=cfg.rtol, atol=cfg.atol, max_step=MAX_STEP_DAYS,
-        )
+        try:
+            # an overflow or nan would otherwise only warn, and RK45 keeps stepping on nan
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                sol = solve_ivp(
+                    rhs, (t_cur, cfg.horizon), y_cur, method=_StopAtGuard, guard=fires,
+                    dense_output=True, rtol=cfg.rtol, atol=cfg.atol, max_step=MAX_STEP_DAYS,
+                )
+        except FloatingPointError as exc:
+            raise IntegrationError(f"floating-point error after t = {t_cur!r}: {exc}") from exc
         if not sol.success:
             raise IntegrationError(f"integrator failed near t = {sol.t[-1]!r}: {sol.message}")
 
@@ -329,17 +347,16 @@ def simulate(
 
     traj = Trajectory(samples=tuple(samples), events=tuple(events), u0=u0)
 
-    event_times = [ev.t for ev in events]
-    dwells = [b - a for a, b in zip(event_times, event_times[1:])]
-    off_times = [ev.t for ev in events if ev.u_new == 0]
-    pandemic_end = max(off_times) if off_times else 0.0
+    phases = traj._phases()
+    pandemic_end = max((start for start, _, u in phases if u == 0), default=0.0)
     threshold = cp.on_threshold() if cp is not None else scenario.capacity.phi_plus()
     report = RunReport(
         D_max=samples[-1].D,
         total_infected_proxy=N - ini.R0 - samples[-1].S,
         input_cost=input_cost(traj, cfg.horizon),
         switch_count=len(events),
-        min_observed_dwell=min(dwells) if dwells else math.inf,
+        # the pieces between two events: the first starts at 0, the last ends at the horizon
+        min_observed_dwell=min((end - start for start, end, _ in phases[1:-1]), default=math.inf),
         pandemic_end=pandemic_end,
         max_IS=max_is,
         icu_bound_satisfied=max_is < scenario.capacity.phi_plus(),
@@ -356,19 +373,9 @@ def input_cost(traj: Trajectory, t: float) -> float:
     """
     if not 0.0 <= t <= traj.horizon:
         raise ValueError(f"t = {t!r} outside [0, {traj.horizon!r}]")
-    total = 0.0
-    seg_start = 0.0
-    u = traj.u0
-    for ev in traj.events:
-        if ev.t >= t:
-            break
-        if u == 1:
-            total += ev.t - seg_start
-        seg_start = ev.t
-        u = ev.u_new
-    if u == 1 and t > seg_start:
-        total += t - seg_start
-    return total
+    return sum(
+        (min(end, t) - start for start, end, u in traj._phases() if u == 1 and start < t), 0.0,
+    )
 
 
 def validate_trajectory(
@@ -431,11 +438,11 @@ def validate_trajectory(
     viol_h: list[tuple[float, float]] = []
     if cp is not None:
         down_bound = _down_dwell_bound(cp, dc)
-        for prev, nxt in zip(traj.events, traj.events[1:]):
-            if prev.u_new == 1 and nxt.u_new == 0:
-                dur = nxt.t - prev.t
-                if dur < down_bound - event_time_tol:
-                    viol_h.append((prev.t, down_bound - dur))
+        # a piece that a switch to 1 starts and a switch to 0 ends
+        for (start, end, u), (_, _, u_next) in pairwise(traj._phases()[1:]):
+            dur = end - start
+            if u == 1 and u_next == 0 and dur < down_bound - event_time_tol:
+                viol_h.append((start, down_bound - dur))
     add("h", "completed input-1 phases at least the dwell bound", viol_h,
         skipped=cp is None)
 

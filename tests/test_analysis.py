@@ -91,6 +91,14 @@ class TestProbeValidation:
         x = np.array([values[k] for k in analysis._PROBE_KEYS])
         assert analysis._passes(x[np.newaxis], city_pair).tolist() == [False]
 
+    def test_infinite_population_counts_as_failed(self, scenario, city_pair):
+        # each compartment is finite, but N overflows to inf, which Scenario
+        # rejects; the constants and every condition would pass
+        values = {**scenario.values(), "S0": 1e308, "R0": 1e308}
+        x = np.array([values[k] for k in analysis._PROBE_KEYS])
+        assert analysis._passes(x[np.newaxis], city_pair).tolist() == [False]
+        assert _scalar_verdict(x, city_pair) is False
+
 
 def _scalar_verdict(x, cp):
     """One probe sample through the public scalar functions."""

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -113,6 +114,30 @@ class TestFileErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: invalid scenario: S0 must be finite, got inf\n"
+
+    @pytest.mark.parametrize("command", ["check", "feasible", "simulate"])
+    def test_infinite_population_is_usage_error(self, tmp_path, scenario, command, capsys):
+        # S0 and R0 are each finite, but their sum overflows to inf
+        text = scenario_file_text(scenario, 10.0, 8.0)
+        text = text.replace("S0 = 89950.0", "S0 = 1e308").replace("R0 = 10000.0", "R0 = 1e308")
+        assert main([command, write(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid scenario: total initial population must be finite\n"
+
+    @pytest.mark.parametrize("text, line", [
+        ("[scenario]\nbeta_A 0.3\n", 2),  # no delimiter: configparser prints two lines
+        ("beta_A = 0.3\n", 1),  # no section header: three lines
+        ("[scenario]\n[scenario]\n", 2),  # duplicate section: one line already
+    ], ids=["no_delimiter", "no_section_header", "duplicate_section"])
+    def test_syntax_error_is_one_line(self, tmp_path, text, line, capsys):
+        path = write(tmp_path, text)
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert repr(path) in captured.err
+        assert re.search(rf"\bline:? +{line}\b", captured.err)
 
     def test_partial_controller_section(self, tmp_path, scenario):
         text = scenario_file_text(scenario) + "\n[controller]\neps_plus = 10.0\n"
@@ -265,6 +290,19 @@ class TestSimulateCommand:
         assert main(["simulate", plain_file, "--open-loop", "2"]) == 2
         assert "--open-loop" in capsys.readouterr().err
 
+    def test_overflowing_start_is_one_line(self, tmp_path, scenario, capsys):
+        # scipy's first-step norm overflows on IA0 = 1e300
+        text = scenario_file_text(scenario).replace("IA0 = 49.0", "IA0 = 1e300")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", write(tmp_path, text), "--horizon", "30",
+                         "--eps-plus", "10", "--eps-minus", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: floating-point error after t = 0.0: overflow")
+        assert captured.err.count("\n") == 1
+
     def test_bad_start_is_verdict_exit(self, tmp_path, scenario, capsys):
         sc = dataclasses.replace(
             scenario, init=dataclasses.replace(scenario.init, psi0=0.9))
@@ -327,6 +365,11 @@ class TestSweepCommand:
     def test_bad_list_is_usage_error(self, sweep_file, capsys):
         assert main(["sweep", sweep_file, "--eps-plus", "10",
                      "--eps-minus-list", "8,x"]) == 2
+        # a list of empty items holds no value
+        assert main(["sweep", sweep_file, "--eps-plus", "10",
+                     "--eps-minus-list", ","]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: --eps-minus-list must contain at least one value\n")
 
     def test_needs_eps_plus(self, sweep_file, capsys):
         assert main(["sweep", sweep_file, "--eps-minus-list", "8"]) == 2
@@ -429,9 +472,8 @@ class TestGoldenOutput:
 
 class TestNoTraceback:
     EDGE_VALUES = (0.0, -1.0, 5e-324, 1e300, math.inf, math.nan)
-    # simulate is left out: a coordinate at 1e300 overflows inside the ODE solver
     COMMANDS = (["check"], ["constants"], ["dwell"], ["feasible", "--grid", "200"],
-                ["robust", "--samples", "8"])
+                ["robust", "--samples", "8"], ["simulate", "--horizon", "30"])
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

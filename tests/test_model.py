@@ -95,6 +95,11 @@ class TestScenario:
         with pytest.raises(ValueError, match="population"):
             make_scenario(S0=0.0, IA0=0.0, IS0=0.0, R0=0.0, D0=0.0)
 
+    def test_infinite_population_rejected(self):
+        # each compartment is finite, their sum is not
+        with pytest.raises(ValueError, match="population must be finite"):
+            make_scenario(S0=1e308, R0=1e308)
+
     def test_values_round_trip(self):
         sc = make_scenario(D0=5.0, psi0=0.9, xi=0.25)
         assert tuple(sc.values()) == SCENARIO_KEYS

@@ -15,6 +15,7 @@ from scipy.integrate import solve_ivp
 from icufunnel import (
     ChatteringError,
     ControllerParams,
+    IntegrationError,
     PreconditionError,
     SimConfig,
     State,
@@ -258,6 +259,11 @@ class TestEventEdgeCases:
         assert traj.u_at(0.0) == 1
         assert traj.u0 == 0
 
+    def test_overflow_is_integration_error(self):
+        # scipy's first-step norm overflows; the run must not warn and go on
+        with pytest.raises(IntegrationError, match="overflow"):
+            simulate(make_scenario(IA0=1e300), None, SimConfig(open_loop_u=0, horizon=5.0))
+
     def test_switch_budget_trips(self, scenario, cp8, monkeypatch):
         monkeypatch.setattr(simulator, "MAX_SWITCHES", 2)
         with pytest.raises(ChatteringError, match="switches"):
@@ -279,6 +285,17 @@ class TestInputCost:
         assert input_cost(traj, 2.0) == 0.0
         assert input_cost(traj, 0.0) == 0.0
         assert traj.horizon == 10.0
+
+    def test_event_at_zero_and_fixed_input(self):
+        def at(t):
+            return State(S=1.0, I_A=0.0, I_S=0.0, R=0.0, D=0.0, psi=1.0, t=t)
+        # a switch at t = 0 leaves a zero-length first piece
+        traj = Trajectory(samples=(at(0.0), at(10.0)),
+                          events=(SwitchEvent(0.0, 1), SwitchEvent(4.0, 0)), u0=0)
+        assert input_cost(traj, 10.0) == 4.0
+        assert input_cost(traj, 0.0) == 0.0 and type(input_cost(traj, 0.0)) is float
+        fixed = Trajectory(samples=(at(0.0), at(10.0)), events=(), u0=1)
+        assert input_cost(fixed, 2.5) == 2.5
 
     def test_out_of_range(self):
         traj = self._traj()
@@ -354,6 +371,16 @@ class TestValidation:
         rep = validate_trajectory(traj, scenario, dc, cp)
         down = math.log(34.0 / 1e-200) / dc.alpha_S_eff
         assert rep.check("h").violations == ((1.0, down - 1.0),)
+
+    def test_dwell_check_reads_switch_pairs(self, scenario, dc, cp8):
+        # only a switch to 1 followed by a switch to 0 bounds a phase, even
+        # when a hand-made list repeats a value
+        ok = State(S=89950.0, I_A=49.0, I_S=1.0, R=10000.0, D=0.0, psi=1.0, t=0.0)
+        events = tuple(SwitchEvent(t, u) for t, u in ((1.0, 1), (2.0, 1), (3.0, 0), (5.0, 0)))
+        traj = Trajectory(samples=(ok, dataclasses.replace(ok, t=6.0)), events=events, u0=0)
+        rep = validate_trajectory(traj, scenario, dc, cp8)
+        down = math.log(34.0 / 8.0) / dc.alpha_S_eff
+        assert rep.check("h").violations == ((2.0, down - 1.0),)
 
     def test_masks_match_loop_reference(self, run8, scenario, dc, cp8):
         # zero tolerances and a lowered capacity make checks a-g fire on
