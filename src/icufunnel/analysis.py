@@ -22,7 +22,7 @@ from .constants import (
 )
 # q_eval is not called here; it stays bound because the benchmark tracer hooks analysis.q_eval
 from .controller import ControllerParams, _cz_conditions, _q, in_CZ, q_eval  # noqa: F401
-from .model import Scenario, _columns
+from .model import Scenario, _batch, _clipped
 from .simulator import PreconditionError, SimConfig, simulate
 
 __all__ = [
@@ -42,8 +42,6 @@ _PROBE_KEYS = (
     "gamma_0", "gamma_1", "psi_bar", "gamma_K",
     "xi", "n_icu", "S0", "IA0", "IS0", "R0", "D0", "psi0",
 )
-_UNIT = [*range(10), 17]  # rate/fraction parameters and psi0, clipped to [0, 1]
-_NONNEGATIVE = slice(10, 17)  # capacity and compartments, clipped at 0
 # Bisection steps on the probe radius: certified_delta is within
 # delta / 2**20 of the largest radius where every sample passes.
 _PROBE_BISECT_DEPTH = 20
@@ -112,28 +110,21 @@ class SweepResult:
 def _perturbed(x0: np.ndarray, directions: np.ndarray, delta: float) -> np.ndarray:
     # relative perturbation coordinate-wise, absolute fallback at exact zeros
     scale = np.where(x0 != 0.0, np.abs(x0), 1.0)
-    x = x0 + directions * delta * scale
-    x[:, _UNIT] = np.clip(x[:, _UNIT], 0.0, 1.0)
-    x[:, _NONNEGATIVE] = np.maximum(x[:, _NONNEGATIVE], 0.0)
-    return x
+    return _clipped(x0 + directions * delta * scale, _PROBE_KEYS)
 
 
-@np.errstate(over="ignore")  # the population sum may overflow
 def _passes(x: np.ndarray, cp: ControllerParams) -> np.ndarray:
     """Which rows of x (scenarios in _PROBE_KEYS order) keep cp admissible.
 
-    A row passes when the Scenario constructors would accept it, every
-    constant is derivable, A1-A3 and A6 hold and cp passes in_CZ: exactly
-    when Scenario.from_values, derive_constants, check_sigma_rob and in_CZ
-    on that row raise no ValueError and say yes.
+    A row passes when the Scenario constructors would accept it (checked by
+    model._batch against the range table model._RANGES and the capacity
+    and population bounds), every constant is derivable, A1-A3 and A6 hold
+    and cp passes in_CZ: exactly when Scenario.from_values,
+    derive_constants, check_sigma_rob and in_CZ on that row raise no
+    ValueError and say yes.
     """
-    scenario = _columns(dict(zip(_PROBE_KEYS, x.T)))
+    scenario, ok = _batch(x, _PROBE_KEYS)
     dc, undefined = _derive(scenario)
-    # After clipping, the constructors reject only non-finite coordinates, a
-    # zero or infinite capacity bound and an infinite population (a zero
-    # population has R0 = 0, which is undefined).
-    ok = np.isfinite(x).all(axis=1) & (dc.phi_plus > 0.0) & (dc.phi_plus < np.inf)
-    ok &= Scenario.population(scenario) < np.inf
     for rows, _ in undefined:
         ok &= ~rows
     for c in _sigma_rob_conditions(scenario, dc) + _cz_conditions(cp, scenario, dc):
@@ -152,22 +143,23 @@ def robustness_probe(
 
     Draws `samples` uniform directions in the 18-dimensional unit cube once,
     scales them by the probed radius (relative per coordinate, absolute at
-    zeros, clipped to valid ranges), and requires each perturbed scenario to
-    be robust-admissible and to admit the FIXED pair cp. All samples at one
-    radius are derived and checked in one array pass. certified_delta is
-    found by bisection over the radius with all-samples-pass as the
-    predicate. Bisection assumes that predicate is monotone in the radius,
-    which nothing guarantees: it returns a radius where every sample passes,
-    not the largest one. Reusing the same directions at every radius makes
-    the result seed-reproducible.
+    zeros, clipped into the range table model._RANGES), and requires each
+    perturbed scenario to be valid (model._batch), robust-admissible and
+    to admit the FIXED pair cp. All samples at one radius are derived and
+    checked in one array pass. certified_delta is found by bisection over
+    the radius with all-samples-pass as the predicate. Bisection assumes
+    that predicate is monotone in the radius, which nothing guarantees: it
+    returns a radius where every sample passes, not the largest one.
+    Reusing the same directions at every radius makes the result
+    seed-reproducible.
 
     Raises:
         PreconditionError: the nominal scenario is not robust-admissible or
             cp is not admissible for it.
-        ValueError: delta or samples out of range.
+        ValueError: delta not finite and >= 0, or samples < 1.
     """
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta!r}")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     dc = derive_constants(scenario)

@@ -295,7 +295,7 @@ def cmd_simulate(sf: ScenarioFile, args) -> int:
     if args.open_loop is not None and args.open_loop not in (0, 1):
         raise ValueError(f"--open-loop takes 0 or 1, got {args.open_loop!r}")
     cfg = sf.sim_config(open_loop_u=args.open_loop, horizon=args.horizon)
-    cp = _resolve_cp(sf, args, required=args.open_loop is None)
+    cp = None if args.open_loop is not None else _resolve_cp(sf, args)  # unused in open loop
     traj, report = simulate(sf.scenario, cp, cfg)
     if args.out:
         Path(args.out).write_text(trajectory_csv_text(traj), encoding="utf-8")

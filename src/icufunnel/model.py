@@ -8,16 +8,25 @@ floor (restrictions active). Time is measured in days, compartments in
 individuals.
 
 Everything here is a pure value or a pure function; simulation lives in
-:mod:`icufunnel.simulator`.
+:mod:`icufunnel.simulator`. This module alone states a scenario's layout
+(_LAYOUT: each Scenario attribute, its value class and that class's
+coordinates) and what makes it valid: the per-coordinate range table
+_RANGES, plus a capacity bound (1 + xi) * n_icu and a population that are
+> 0 and finite. The constructors raise from these rules, and the
+robustness probe clips to them (_clipped) and checks batches against them
+(_batch).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from operator import itemgetter
 from types import SimpleNamespace
+from typing import get_type_hints
+
+import numpy as np
 
 __all__ = [
     "EpidemicParams",
@@ -30,20 +39,34 @@ __all__ = [
 ]
 
 
-def _require_unit_interval(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+class _Coordinates:
+    """Base of the value classes: each field must lie in its _RANGES range.
+
+    __post_init__ raises ValueError naming the first field outside it.
+    """
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            lo, hi = _RANGES[f.name]
+            if hi is not None and not lo <= value <= hi:
+                raise ValueError(f"{f.name} must lie in [{lo:g}, {hi:g}], got {value!r}")
+            if not value >= lo:
+                raise ValueError(f"{f.name} must be >= {lo:g}, got {value!r}")
+            if value == math.inf:
+                raise ValueError(f"{f.name} must be finite, got inf")
 
 
-def _require_finite_nonnegative(name: str, value: float) -> None:
-    if not value >= 0.0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
+def _require_positive_finite(what: str, value: float) -> None:
+    """The capacity-bound and population rule on one scenario (see _batch)."""
+    if not value > 0.0:
+        raise ValueError(f"{what} must be > 0")
     if value == math.inf:
-        raise ValueError(f"{name} must be finite, got inf")
+        raise ValueError(f"{what} must be finite")
 
 
 @dataclass(frozen=True)
-class EpidemicParams:
+class EpidemicParams(_Coordinates):
     """Rate and fraction parameters of the epidemic and response dynamics.
 
     Attributes:
@@ -59,7 +82,7 @@ class EpidemicParams:
         psi_bar: base response floor reached under sustained restrictions.
         gamma_K: gain of asymptomatic prevalence feedback on the floor.
 
-    All ten fields must lie in [0, 1].
+    All ten fields must lie in [0, 1] (see _RANGES).
     """
 
     beta_A: float
@@ -73,14 +96,13 @@ class EpidemicParams:
     psi_bar: float
     gamma_K: float
 
-    def __post_init__(self) -> None:
-        for name in _PARAMS_KEYS:
-            _require_unit_interval(name, getattr(self, name))
-
 
 @dataclass(frozen=True)
-class InitialState:
-    """Initial compartment values (finite, individuals) and response level psi0."""
+class InitialState(_Coordinates):
+    """Initial compartment values (finite, >= 0, individuals) and response level psi0 in [0, 1].
+
+    The ranges come from _RANGES.
+    """
 
     S0: float
     IA0: float
@@ -89,30 +111,22 @@ class InitialState:
     D0: float
     psi0: float
 
-    def __post_init__(self) -> None:
-        for name in ("S0", "IA0", "IS0", "R0", "D0"):
-            _require_finite_nonnegative(name, getattr(self, name))
-        _require_unit_interval("psi0", self.psi0)
-
 
 @dataclass(frozen=True)
-class CapacityPolicy:
+class CapacityPolicy(_Coordinates):
     """ICU capacity and the tolerated relative overshoot.
 
-    The upper corridor boundary for I_S is phi_plus() = (1 + xi) * n_icu,
-    which must be positive and finite; the lower boundary is fixed at zero.
+    Both are finite and >= 0 (see _RANGES). The upper corridor boundary for
+    I_S is phi_plus() = (1 + xi) * n_icu, which must be positive and finite;
+    the lower boundary is fixed at zero.
     """
 
     n_icu: float
     xi: float
 
     def __post_init__(self) -> None:
-        _require_finite_nonnegative("n_icu", self.n_icu)
-        _require_finite_nonnegative("xi", self.xi)
-        if not self.phi_plus() > 0.0:
-            raise ValueError("capacity bound (1 + xi) * n_icu must be > 0")
-        if self.phi_plus() == math.inf:
-            raise ValueError("capacity bound (1 + xi) * n_icu must be finite")
+        super().__post_init__()
+        _require_positive_finite("capacity bound (1 + xi) * n_icu", self.phi_plus())
 
     def phi_plus(self) -> float:
         return (1.0 + self.xi) * self.n_icu
@@ -130,10 +144,7 @@ class Scenario:
     capacity: CapacityPolicy
 
     def __post_init__(self) -> None:
-        if not self.population() > 0.0:
-            raise ValueError("total initial population must be > 0")
-        if self.population() == math.inf:
-            raise ValueError("total initial population must be finite")
+        _require_positive_finite("total initial population", self.population())
 
     def population(self) -> float:
         """Conserved total N = S0 + IA0 + IS0 + R0 + D0."""
@@ -142,10 +153,7 @@ class Scenario:
 
     def values(self) -> dict[str, float]:
         """The 18 scenario coordinates by name, in SCENARIO_KEYS order."""
-        groups = (
-            (self.params, _PARAMS_KEYS), (self.init, _INIT_KEYS), (self.capacity, _CAPACITY_KEYS),
-        )
-        return {k: getattr(group, k) for group, keys in groups for k in keys}
+        return {k: getattr(getattr(self, attr), k) for attr, _, keys in _LAYOUT for k in keys}
 
     @classmethod
     def from_values(cls, values: Mapping[str, float]) -> Scenario:
@@ -155,29 +163,27 @@ class Scenario:
             KeyError: a coordinate is missing.
             ValueError: a coordinate is out of range.
         """
-        return cls(
-            params=EpidemicParams(*_params_of(values)),
-            init=InitialState(*_init_of(values)),
-            capacity=CapacityPolicy(*_capacity_of(values)),
-        )
+        return cls(**{
+            attr: group(**{k: values[k] for k in keys}) for attr, group, keys in _LAYOUT
+        })
 
 
-# Field names per group, taken once at import: Scenario.from_values runs per
-# robustness-probe sample, where calling fields() each time is measurable.
-# The value objects are read with getattr, never vars(): on CPython 3.11 an
-# instance whose __dict__ was materialized reads its attributes about twice
-# as slowly, and derive_constants reads them per probe sample.
-_PARAMS_KEYS, _INIT_KEYS, _CAPACITY_KEYS = (
-    tuple(f.name for f in fields(group))
-    for group in (EpidemicParams, InitialState, CapacityPolicy)
-)
-# Each group's field values from a mapping, in declaration order.
-_params_of, _init_of, _capacity_of = (
-    itemgetter(*keys) for keys in (_PARAMS_KEYS, _INIT_KEYS, _CAPACITY_KEYS)
+# The scenario's layout, read from the declarations: each Scenario attribute,
+# the value class it holds and that class's coordinates, in declaration order.
+_LAYOUT = tuple(
+    (attr, group, tuple(f.name for f in fields(group)))
+    for attr, group in get_type_hints(Scenario).items()
 )
 # The scenario coordinates in declaration order, which is also the key order
 # of a scenario file's [scenario] section.
-SCENARIO_KEYS = _PARAMS_KEYS + _INIT_KEYS + _CAPACITY_KEYS
+SCENARIO_KEYS = tuple(k for _, _, keys in _LAYOUT for k in keys)
+# The valid range (lowest, highest) of each coordinate; every coordinate is
+# also finite. Rates, fractions and psi0 lie in [0, 1]; compartments and
+# capacity have no upper bound (None).
+_RANGES = {
+    k: (0.0, 1.0) if group is EpidemicParams or k == "psi0" else (0.0, None)
+    for _, group, keys in _LAYOUT for k in keys
+}
 
 
 def _columns(values: Mapping[str, object]) -> SimpleNamespace:
@@ -188,11 +194,50 @@ def _columns(values: Mapping[str, object]) -> SimpleNamespace:
     CapacityPolicy.phi_plus, so they evaluate a whole batch in one pass.
     """
     return SimpleNamespace(**{
-        group: SimpleNamespace(**{k: values[k] for k in keys})
-        for group, keys in (
-            ("params", _PARAMS_KEYS), ("init", _INIT_KEYS), ("capacity", _CAPACITY_KEYS),
-        )
+        attr: SimpleNamespace(**{k: values[k] for k in keys}) for attr, _, keys in _LAYOUT
     })
+
+
+@functools.cache
+def _column_ranges(keys: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, list]:
+    """_RANGES laid out for a matrix whose columns follow keys.
+
+    Returns the lowest and the highest finite valid value of each column,
+    and each range with the indices of the columns that share it. The
+    result is cached per key order and shared, so callers must not modify it.
+    """
+    ranges = [_RANGES[k] for k in keys]
+    lo, hi = np.array([(a, np.finfo(float).max if b is None else b) for a, b in ranges]).T
+    return lo, hi, [(r, np.flatnonzero([c == r for c in ranges])) for r in dict.fromkeys(ranges)]
+
+
+def _clipped(x: np.ndarray, keys: tuple[str, ...]) -> np.ndarray:
+    """x (one scenario per row, columns named by keys) clipped into _RANGES, in place.
+
+    Columns sharing a range are clipped with scalar bounds, which keeps a
+    -0.0 in [0, 1] and, with no upper bound, makes it +0.0 (array bounds
+    would make every -0.0 +0.0). nan stays nan.
+    """
+    for bounds, cols in _column_ranges(keys)[2]:
+        x[:, cols] = x[:, cols].clip(*bounds)
+    return x
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the bounds may overflow or meet 0 * inf
+def _batch(x: np.ndarray, keys: tuple[str, ...]) -> tuple[SimpleNamespace, np.ndarray]:
+    """Scenarios as columns (see _columns) and which of them the constructors accept.
+
+    x holds one scenario per row, its columns named by keys. A row is
+    accepted when every coordinate is finite and inside its _RANGES range,
+    and the capacity bound (1 + xi) * n_icu and the population are > 0 and
+    finite, as in _require_positive_finite. The ranges are checked in one
+    array expression over x.
+    """
+    lo, hi, _ = _column_ranges(keys)
+    sc = _columns(dict(zip(keys, x.T)))
+    phi, n = CapacityPolicy.phi_plus(sc.capacity), Scenario.population(sc)
+    return sc, (((x >= lo) & (x <= hi)).all(axis=1)
+                & (phi > 0.0) & (phi < math.inf) & (n > 0.0) & (n < math.inf))
 
 
 @dataclass(frozen=True)

@@ -110,12 +110,15 @@ class SimConfig:
     open_loop_u: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon!r}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon!r}")
         if not 0.0 < self.output_dt <= self.horizon:
             raise ValueError(
                 f"output_dt must be in (0, horizon], got {self.output_dt!r}"
             )
+        if self.horizon / self.output_dt == math.inf:
+            raise ValueError(
+                f"output_dt too small: horizon / output_dt overflows, got {self.output_dt!r}")
         for name in ("rtol", "atol", "event_time_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
@@ -172,7 +175,7 @@ class RunReport:
 
     pandemic_end is the time of the last switch to input 0 (0 if none);
     pandemic_over flags whether the severe-case count stays below the on
-    threshold from then to the horizon, so a horizon-truncated run is
+    threshold (phi_plus in open loop) from then to the horizon, so a horizon-truncated run is
     distinguishable from a finished one.
     """
 
@@ -231,7 +234,8 @@ def simulate(
     Closed-loop runs require an ordered threshold pair and the guaranteed
     start set: I_S(0) <= phi_plus - eps_plus, D0 = 0, psi0 = 1. The input
     is initialized from its left limit u(0-) = 0, so a start exactly on the
-    on threshold produces an event at t = 0.
+    on threshold produces an event at t = 0. Open-loop runs (cfg.open_loop_u
+    set) never read cp.
 
     Raises:
         PreconditionError: closed-loop start set violated.
@@ -245,10 +249,9 @@ def simulate(
     ini = scenario.init
     N = scenario.population()
     open_loop = cfg.open_loop_u is not None
-    if not open_loop and cp is None:
-        raise ValueError("closed-loop run needs threshold parameters, or set cfg.open_loop_u")
     if not open_loop:
-        assert cp is not None
+        if cp is None:
+            raise ValueError("closed-loop run needs threshold parameters, or set cfg.open_loop_u")
         if not cp.ordering_ok():
             raise PreconditionError(
                 "threshold ordering violated: "
@@ -349,7 +352,7 @@ def simulate(
 
     phases = traj._phases()
     pandemic_end = max((start for start, _, u in phases if u == 0), default=0.0)
-    threshold = cp.on_threshold() if cp is not None else scenario.capacity.phi_plus()
+    threshold = scenario.capacity.phi_plus() if open_loop else cp.on_threshold()
     report = RunReport(
         D_max=samples[-1].D,
         total_infected_proxy=N - ini.R0 - samples[-1].S,

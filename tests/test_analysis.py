@@ -72,6 +72,12 @@ class TestProbeValidation:
         with pytest.raises(ValueError, match="delta"):
             robustness_probe(scenario, city_pair, delta=-1e-3)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta(self, interior, delta):
+        sc, _, cp = interior
+        with pytest.raises(ValueError, match=f"delta must be finite and >= 0, got {delta!r}"):
+            robustness_probe(sc, cp, delta=delta, samples=4)
+
     def test_zero_samples(self, scenario, city_pair):
         with pytest.raises(ValueError, match="samples"):
             robustness_probe(scenario, city_pair, delta=1e-3, samples=0)
@@ -140,6 +146,31 @@ class TestBatchedVerdicts:
         x0 = np.array([values[k] for k in analysis._PROBE_KEYS])
         x = analysis._perturbed(x0, directions, radius)
         assert analysis._passes(x, cp).tolist() == [_scalar_verdict(row, cp) for row in x]
+
+    def test_out_of_range_rows_fail_without_clipping(self, interior_scenario):
+        # _passes checks the range table itself, not only what clipping
+        # leaves: each coordinate just outside its range (a larger negative
+        # value could overflow math.exp in the S_min exponent)
+        cp = find_max_slack_eps(interior_scenario, derive_constants(interior_scenario))
+        values = interior_scenario.values()
+        x0 = np.array([values[k] for k in analysis._PROBE_KEYS])
+        rows = []
+        for i, k in enumerate(analysis._PROBE_KEYS):
+            row = x0.copy()
+            row[i] = 1.5 if i < 10 or k == "psi0" else -5e-324
+            rows.append(row)
+        x = np.array(rows)
+        assert [_scalar_verdict(row, cp) for row in x] == [False] * 18
+        assert analysis._passes(x, cp).tolist() == [False] * 18
+
+    def test_clipping_keeps_the_sign_of_zero_as_before(self):
+        # np.clip with scalar bounds keeps a -0.0 in the [0, 1] columns, and
+        # the unbounded columns turn it into +0.0, like np.maximum
+        x0 = np.full(18, -0.0)
+        x = analysis._perturbed(x0, -np.ones((1, 18)), 0.0)[0]
+        unit = [k in analysis._PROBE_KEYS[:10] or k == "psi0" for k in analysis._PROBE_KEYS]
+        assert (x == 0.0).all()
+        assert np.signbit(x).tolist() == unit
 
     def test_edge_rows_match_the_scalar_path(self, interior_scenario):
         # the interior scenario with one coordinate at an edge value; a zero

@@ -157,6 +157,22 @@ class TestFileErrors:
         assert captured.out == ""
         assert captured.err == "error: rtol must be > 0, got 0.0\n"
 
+    @pytest.mark.parametrize("sim, message", [
+        ("horizon = inf", "horizon must be finite and > 0, got inf"),
+        ("output_dt = 5e-324",
+         "output_dt too small: horizon / output_dt overflows, got 5e-324"),
+    ], ids=["inf_horizon", "subnormal_output_dt"])
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--eps-minus-list", "8"]],
+                             ids=["simulate", "sweep"])
+    def test_non_finite_sample_grid_is_usage_error(
+        self, tmp_path, scenario, sim, message, command, capsys,
+    ):
+        text = scenario_file_text(scenario, 10.0, 8.0) + f"\n[sim]\n{sim}\n"
+        assert main([command[0], write(tmp_path, text), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 BUNDLED = str(bundled_scenario_path())
 
@@ -286,6 +302,23 @@ class TestSimulateCommand:
         assert main(["simulate", plain_file]) == 2
         assert "eps_plus" in capsys.readouterr().err
 
+    def test_open_loop_ignores_the_pair(self, tmp_path, capsys):
+        # I_S peaks at 36.2, above the (10, 8) pair's on threshold 34 and
+        # below phi_plus 44, so a report that read the pair would differ
+        sc = make_scenario(psi_bar=0.37)
+        outs = []
+        for text in (scenario_file_text(sc), scenario_file_text(sc, 10.0, 8.0)):
+            assert main(["simulate", write(tmp_path, text), "--open-loop", "1"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert "pandemic_over = True" in outs[0]
+        assert outs[1] == outs[0]
+
+    def test_infinite_horizon_is_usage_error(self, plain_file, capsys):
+        assert main(["simulate", plain_file, "--open-loop", "--horizon", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: horizon must be finite and > 0, got inf\n"
+
     def test_open_loop_value_checked(self, plain_file, capsys):
         assert main(["simulate", plain_file, "--open-loop", "2"]) == 2
         assert "--open-loop" in capsys.readouterr().err
@@ -328,6 +361,14 @@ class TestRobustCommand:
         out = capsys.readouterr().out
         assert "pass_fraction = 1.0" in out
         assert "certified_delta = 1e-06" in out
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_is_usage_error(self, tmp_path, interior_scenario, delta, capsys):
+        path = write(tmp_path, scenario_file_text(interior_scenario))
+        assert main(["robust", path, "--delta", delta, "--samples", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: delta must be finite and >= 0, got {delta}\n"
 
     def test_fallback_pair_has_slack(self, tmp_path, interior_scenario, capsys):
         # no [controller] section and default flags: the probe anchors on
@@ -472,8 +513,12 @@ class TestGoldenOutput:
 
 class TestNoTraceback:
     EDGE_VALUES = (0.0, -1.0, 5e-324, 1e300, math.inf, math.nan)
+    # 1e300 is left out: a finite horizon that large is accepted and never finishes
+    SIM_EDGE_VALUES = (0.0, -1.0, 5e-324, math.inf, math.nan)
     COMMANDS = (["check"], ["constants"], ["dwell"], ["feasible", "--grid", "200"],
-                ["robust", "--samples", "8"], ["simulate", "--horizon", "30"])
+                ["robust", "--samples", "8"], ["simulate", "--horizon", "30"],
+                ["simulate", "--open-loop", "1", "--horizon", "30"],
+                ["sweep", "--eps-plus", "10", "--eps-minus-list", "8,5"])
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -492,9 +537,25 @@ class TestNoTraceback:
             lines.append("seed = 3")
         if data.draw(st.booleans(), label="pair"):
             lines += ["[controller]", "eps_plus = 10.0", "eps_minus = 8.0"]
+        # a short horizon keeps sweep quick; maybe a sample-grid setting at an edge value
+        sim = {"horizon": 30.0, **data.draw(st.dictionaries(
+            st.sampled_from(["horizon", "output_dt"]), st.sampled_from(self.SIM_EDGE_VALUES),
+            max_size=2), label="sim")}
+        lines += ["[sim]"] + [f"{k} = {v!r}" for k, v in sim.items()]
         path = tmp_path_factory.getbasetemp() / "edge_values.ini"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.assert_every_command_ends_in_an_exit_code(path)
 
+    @pytest.mark.parametrize("output_dt", (None, *SIM_EDGE_VALUES))
+    @pytest.mark.parametrize("horizon", (None, *SIM_EDGE_VALUES))
+    def test_every_sample_grid_ends_in_an_exit_code(self, scenario, tmp_path, horizon, output_dt):
+        # each [sim] horizon and output_dt pair, drawn above too, but too rarely to rely on
+        sim = {"horizon": 30.0 if horizon is None else horizon, "output_dt": output_dt}
+        text = scenario_file_text(scenario, 10.0, 8.0) + "\n[sim]\n" + "".join(
+            f"{k} = {v!r}\n" for k, v in sim.items() if v is not None)
+        self.assert_every_command_ends_in_an_exit_code(write(tmp_path, text))
+
+    def assert_every_command_ends_in_an_exit_code(self, path):
         for command in self.COMMANDS:
             out, err = io.StringIO(), io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \

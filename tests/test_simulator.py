@@ -7,6 +7,7 @@ enough to survive solver version drift.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ class TestSimConfig:
     ])
     def test_rejects_bad_settings(self, kw):
         with pytest.raises(ValueError):
+            SimConfig(**kw)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(horizon=math.inf), "horizon must be finite and > 0, got inf"),
+        (dict(output_dt=5e-324), "output_dt too small: horizon / output_dt overflows, got 5e-324"),
+        (dict(horizon=math.inf, output_dt=math.inf), "horizon must be finite"),
+    ], ids=["inf_horizon", "subnormal_output_dt", "inf_both"])
+    def test_rejects_a_non_finite_sample_grid(self, kw, message):
+        # the sample grid has horizon / output_dt rows, which must be a finite count
+        with pytest.raises(ValueError, match=re.escape(message)):
             SimConfig(**kw)
 
     def test_defaults(self):
@@ -147,6 +158,17 @@ class TestOpenLoop:
         assert rep.input_cost == 1000.0
         assert rep.max_IS < 44.0
         assert rep.icu_bound_satisfied
+
+    def test_pair_is_not_read(self, cp8):
+        # with psi_bar 0.37, I_S peaks between the pair's on threshold (34)
+        # and phi_plus (44): pandemic_over is judged against phi_plus
+        sc = make_scenario(psi_bar=0.37)
+        cfg = SimConfig(open_loop_u=1)
+        _, with_pair = simulate(sc, cp8, cfg)
+        _, without = simulate(sc, None, cfg)
+        assert cp8.on_threshold() < without.max_IS < sc.capacity.phi_plus()
+        assert without.pandemic_over
+        assert with_pair == without
 
     def test_bypasses_start_set(self):
         # open-loop runs accept starts the closed loop must reject
