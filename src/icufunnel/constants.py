@@ -16,8 +16,9 @@ with one entry per scenario (see model._columns). The public functions pass
 a one-row batch and return Python floats and bools; robustness_probe passes
 all its perturbed scenarios at once. Every value is bit-identical to Python
 float arithmetic: divisions by zero go through _div, max through _max, and
-exp and squares through the math library one element at a time, because
-numpy's exp and x*x differ from it in the last bit on some inputs.
+exp and squares through the math library one element at a time (_libm,
+inf where they overflow), because numpy's exp and x*x differ from it in the
+last bit on some inputs.
 """
 
 from __future__ import annotations
@@ -71,15 +72,19 @@ def _max(first, *rest):
     return first
 
 
-def _square(x: float) -> float:
-    """x**2 through libm pow, as Python computes it; inf where that overflows.
+def _libm(f, x):
+    """f(x) in Python float arithmetic (libm exp, pow), or f at each entry of
+    the column x; inf where that overflows.
 
-    x*x and np.square round differently for about 0.08 % of floats.
+    numpy's exp and x*x round differently in the last bit on some inputs
+    (x*x and np.square for about 0.08 % of floats). A column is mapped in one
+    comprehension, and entry by entry only when some entry overflows.
     """
+    column = isinstance(x, np.ndarray)
     try:
-        return x**2
+        return np.array([f(v) for v in x.tolist()]) if column else f(x)
     except OverflowError:
-        return math.inf
+        return np.array([_libm(f, v) for v in x.tolist()]) if column else math.inf
 
 
 def _first(value):
@@ -198,7 +203,7 @@ def _derive(scenario) -> tuple[DerivedConstants, tuple[tuple[np.ndarray, str], .
     psi_floor = K_psi_bar * pm.psi_bar
 
     exponent = -_max(pm.beta_A, pm.beta_S) * (N - ini.R0) / (alpha_min * ini.R0)
-    S_min = ini.S0 * np.array([math.exp(x) for x in exponent.tolist()])
+    S_min = ini.S0 * _libm(math.exp, exponent)
     beta_tilde = pm.p * pm.beta_S + (1.0 - pm.p) * pm.beta_A
 
     A_const = (
@@ -207,7 +212,7 @@ def _derive(scenario) -> tuple[DerivedConstants, tuple[tuple[np.ndarray, str], .
         + _div((alpha_S_eff - pm.alpha_A) * N, K_psi_bar * pm.psi_bar * S_min)
     )
     cross = pm.p * (1.0 - pm.p) * pm.beta_A * pm.beta_S
-    A_sq = np.array([_square(a) for a in A_const.tolist()])
+    A_sq = _libm(lambda a: a**2, A_const)
     root = np.sqrt(A_sq / 4.0 + cross)
     # Where A > 0, -A/2 + sqrt(A^2/4 + cross) is taken in the algebraically
     # equal form below, immune to the cancellation (and to inf - inf) when

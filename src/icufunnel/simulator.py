@@ -21,17 +21,25 @@ tripwire on the event count is the module constant MAX_SWITCHES; neither is
 a setting. Trajectories are validated after the fact against the
 analytically provable path properties, each check one mask over the sample
 columns.
+
+scipy is imported on the first solve, not with the package: the certifying
+commands never integrate, and importing scipy.integrate costs most of the
+package's start-up. The module __getattr__ (PEP 562) imports it on the
+first lookup of solve_ivp or of the RK45 subclass _StopAtGuard and binds
+both as module attributes. simulate looks them up through the module at
+call time, so a replaced solve_ivp (a test's spy, a tracer's wrapper) is
+the one it calls.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import pairwise
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
 
 from .constants import DerivedConstants
 from .controller import ControllerParams, _down_dwell_bound, control_update
@@ -72,23 +80,37 @@ class PreconditionError(ValueError):
     """A closed-loop run was started outside its guaranteed-start set."""
 
 
-class _StopAtGuard(RK45):
-    """RK45 that finishes at the first accepted knot where guard(y) holds.
+def __getattr__(name: str):
+    """Import scipy's solver on first use and bind solve_ivp and _StopAtGuard.
 
-    t_bound stays the caller's end point, so every step size, knot and
-    dense-output segment up to that knot is the one a plain RK45 solve over
-    the same span would take.
+    Python calls this only for a name the module does not hold yet, and a
+    name already bound (replaced, say) is kept.
     """
+    if name not in ("solve_ivp", "_StopAtGuard"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import RK45, solve_ivp
 
-    def __init__(self, fun, t0, y0, t_bound, *, guard, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self.guard = guard
+    class _StopAtGuard(RK45):
+        """RK45 that finishes at the first accepted knot where guard(y) holds.
 
-    def step(self):
-        message = super().step()
-        if self.status == "running" and self.guard(self.y):
-            self.status = "finished"
-        return message
+        t_bound stays the caller's end point, so every step size, knot and
+        dense-output segment up to that knot is the one a plain RK45 solve
+        over the same span would take.
+        """
+
+        def __init__(self, fun, t0, y0, t_bound, *, guard, **options):
+            super().__init__(fun, t0, y0, t_bound, **options)
+            self.guard = guard
+
+        def step(self):
+            message = super().step()
+            if self.status == "running" and self.guard(self.y):
+                self.status = "finished"
+            return message
+
+    globals().setdefault("solve_ivp", solve_ivp)
+    globals().setdefault("_StopAtGuard", _StopAtGuard)
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -266,6 +288,7 @@ def simulate(
         if ini.psi0 != 1.0:
             raise PreconditionError(f"closed-loop runs require psi0 = 1, got {ini.psi0!r}")
 
+    this = sys.modules[__name__]  # solve_ivp and _StopAtGuard, as bound now
     events: list[SwitchEvent] = []
     if open_loop:
         u = int(cfg.open_loop_u)  # type: ignore[arg-type]
@@ -303,8 +326,8 @@ def simulate(
         try:
             # an overflow or nan would otherwise only warn, and RK45 keeps stepping on nan
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                sol = solve_ivp(
-                    rhs, (t_cur, cfg.horizon), y_cur, method=_StopAtGuard, guard=fires,
+                sol = this.solve_ivp(
+                    rhs, (t_cur, cfg.horizon), y_cur, method=this._StopAtGuard, guard=fires,
                     dense_output=True, rtol=cfg.rtol, atol=cfg.atol, max_step=MAX_STEP_DAYS,
                 )
         except FloatingPointError as exc:

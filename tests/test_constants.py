@@ -7,6 +7,7 @@ The numeric anchors below were computed by hand from the defining formulas
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,8 @@ from icufunnel import (
     derive_constants,
     in_CZ,
 )
-from icufunnel.model import SCENARIO_KEYS
+from icufunnel.constants import _derive
+from icufunnel.model import SCENARIO_KEYS, _columns
 from test_model import make_scenario
 
 
@@ -239,6 +241,17 @@ class TestDerivationErrors:
     def test_a_const_square_overflow(self):
         with pytest.raises(DerivationError, match="A_const"):
             derive_constants(make_scenario(**A_CONST_OVERFLOW))
+
+    def test_negative_r0_row_is_masked_in_a_batch(self, interior_scenario):
+        # with R0 < 0 the S_min exponent is large and positive, so exp overflows
+        values = interior_scenario.values()
+        columns = _columns({k: np.array([v, -1.0 if k == "R0" else v]) for k, v in values.items()})
+        dc, undefined = _derive(columns)
+        flagged = [message for rows, message in undefined if rows[1]]
+        assert flagged == ["S_min undefined: R0 = {R0!r}"]
+        assert not any(rows[0] for rows, _ in undefined)
+        row0 = {f.name: getattr(dc, f.name)[0].item() for f in dataclasses.fields(dc)}
+        assert row0 == dataclasses.asdict(derive_constants(interior_scenario))
 
 
 class TestDegenerateButReportable:

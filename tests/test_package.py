@@ -1,5 +1,9 @@
 """The package namespace is the union of the modules' public names."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import icufunnel
 from icufunnel import analysis, constants, controller, model, simulator
 
@@ -23,3 +27,33 @@ def test_module_lists_name_every_public_definition():
             if not name.startswith("_") and getattr(value, "__module__", None) == m.__name__
         }
         assert defined <= set(m.__all__), m.__name__
+
+
+# One fresh interpreter: the certifying commands run without scipy, the first
+# lookup of simulator.solve_ivp imports it, and simulate calls it.
+DEFERRED_SCIPY = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import icufunnel, icufunnel.cli
+from icufunnel import cli, simulator
+
+path = str(cli.bundled_scenario_path())
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["constants", path], ["feasible", path], ["robust", path, "--samples", "8"]):
+        cli.main(argv)
+assert "scipy" not in sys.modules, "the certifying commands imported scipy"
+solve_ivp = getattr(simulator, "solve_ivp")
+assert "scipy.integrate" in sys.modules
+import scipy.integrate
+assert solve_ivp is scipy.integrate.solve_ivp
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["simulate", path, "--horizon", "30"]) == 0
+assert simulator.solve_ivp is scipy.integrate.solve_ivp
+"""
+
+
+def test_scipy_is_imported_on_the_first_simulation():
+    src = str(Path(icufunnel.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", DEFERRED_SCIPY, src],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
