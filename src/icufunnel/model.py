@@ -270,6 +270,10 @@ def derivatives(
 
     Single source of truth for the arithmetic; the simulator calls it on
     each solver stage. R does not feed back, so it is not an argument.
+    The simulator passes Python floats, unpacked from the stage's state
+    with one tolist(): numpy scalars give the same bits for + - * / but
+    cost about twice as much per operation. Python floats overflow to inf
+    silently, so this function raises only on the two conditions below.
 
     Returns:
         (dS, dI_A, dI_S, dR, dD, dpsi). The first five sum to zero in exact

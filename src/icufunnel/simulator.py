@@ -16,11 +16,20 @@ Each phase is sampled from its dense output: the output-grid rows inside
 the phase in one array call, and the closing row (an event or the horizon)
 in a scalar call, since that state also starts the next phase. The grid is
 the multiples of output_dt that do not pass the horizon, plus the horizon.
-The RK45 step cap is the module constant MAX_STEP_DAYS, and the chattering
-tripwire on the event count is the module constant MAX_SWITCHES; neither is
-a setting. Trajectories are validated after the fact against the
-analytically provable path properties, each check one mask over the sample
-columns.
+The RK45 step cap is the module constant MAX_STEP_DAYS, the chattering
+tripwire on the event count is the module constant MAX_SWITCHES, and the
+cap on a run's grid rows and fewest solver steps is the module constant
+MAX_STEPS; none is a setting. Trajectories are validated after the fact
+against the analytically provable path properties, each check one mask over
+the sample columns.
+
+The right-hand side unpacks each solver stage with one tolist() and passes
+Python floats to model.derivatives: numpy scalar arithmetic costs about
+twice as much, and IEEE + - * / give the same bits on either type, so every
+knot, event and sample is unchanged. A Python float overflows to inf
+without an error, so an overflow inside the right-hand side surfaces in the
+solver's numpy operations, which run under np.errstate and raise. Grid rows
+are built from the columns of one dense-output call, one tolist() each.
 
 scipy is imported on the first solve, not with the package: the certifying
 commands never integrate, and importing scipy.integrate costs most of the
@@ -38,6 +47,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import pairwise
+from operator import attrgetter
 
 import numpy as np
 
@@ -66,6 +76,9 @@ __all__ = [
 MAX_STEP_DAYS = 1.0
 # A run that records more switch events than this is reported as chattering.
 MAX_SWITCHES = 1_000_000
+# SimConfig refuses a run longer than this many grid rows (horizon / output_dt)
+# or least solver steps (horizon / MAX_STEP_DAYS): it would never finish.
+MAX_STEPS = 1_000_000
 
 
 class IntegrationError(RuntimeError):
@@ -120,8 +133,10 @@ class SimConfig:
     Samples are taken at every multiple k * output_dt that does not pass the
     horizon, plus the horizon itself when it is not such a multiple.
     open_loop_u, when set, fixes the input to that constant and bypasses
-    the controller entirely. The RK45 step cap MAX_STEP_DAYS and the
-    chattering tripwire MAX_SWITCHES are module constants, not settings.
+    the controller entirely. The RK45 step cap MAX_STEP_DAYS, the
+    chattering tripwire MAX_SWITCHES and the run-length cap MAX_STEPS are
+    module constants, not settings: horizon / output_dt (the grid rows) and
+    horizon / MAX_STEP_DAYS (the fewest solver steps) must not pass MAX_STEPS.
     """
 
     horizon: float = 1000.0
@@ -141,6 +156,10 @@ class SimConfig:
         if self.horizon / self.output_dt == math.inf:
             raise ValueError(
                 f"output_dt too small: horizon / output_dt overflows, got {self.output_dt!r}")
+        if self.horizon / min(self.output_dt, MAX_STEP_DAYS) > MAX_STEPS:
+            raise ValueError(
+                f"run too long: horizon / min(output_dt, MAX_STEP_DAYS) is above MAX_STEPS = "
+                f"{MAX_STEPS}, got horizon {self.horizon!r}, output_dt {self.output_dt!r}")
         for name in ("rtol", "atol", "event_time_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
@@ -317,7 +336,8 @@ def simulate(
         u_mode = u
 
         def rhs(t, y, _u=u_mode):
-            return derivatives(y[0], y[1], y[2], y[4], y[5], _u, pm, N)
+            S, I_A, I_S, _, D, psi = y.tolist()
+            return derivatives(S, I_A, I_S, D, psi, _u, pm, N)
 
         def fires(y, _u=u_mode):
             # the relay would leave mode _u here (never in open loop)
@@ -358,7 +378,7 @@ def simulate(
         gj = bisect_left(grid, t_end, gi)
         ts = grid[gi:gj]
         ys = sol.sol(np.array(ts)) if ts else np.empty((6, 0))
-        samples.extend(State(*y, t=t) for t, y in zip(ts, ys.T.tolist()))
+        samples.extend(map(State, *ys.tolist(), ts))
         y_end = sol.sol(t_end)
         samples.append(State(*y_end.tolist(), t=t_end))
         phase_is = np.concatenate((sol.y[2][sol.t <= t_end], ys[2], y_end[2:3]))
@@ -433,7 +453,8 @@ def validate_trajectory(
     total = scenario.population()
     tol_c = 1e-6 * total if tol_compartment is None else tol_compartment
     psi0 = traj.samples[0].psi
-    t, S, I_A, I_S, R, D, psi = np.array([(s.t, *s.as_tuple()) for s in traj.samples]).T
+    t, S, I_A, I_S, R, D, psi = np.array(
+        list(map(attrgetter("t", "S", "I_A", "I_S", "R", "D", "psi"), traj.samples))).T
     checks: list[ValidationCheck] = []
 
     def over(defect, tol: float = tol_c, strict: bool = True) -> list[tuple[float, float]]:

@@ -513,8 +513,7 @@ class TestGoldenOutput:
 
 class TestNoTraceback:
     EDGE_VALUES = (0.0, -1.0, 5e-324, 1e300, math.inf, math.nan)
-    # 1e300 is left out: a finite horizon that large is accepted and never finishes
-    SIM_EDGE_VALUES = (0.0, -1.0, 5e-324, math.inf, math.nan)
+    SIM_EDGE_VALUES = (0.0, -1.0, 5e-324, 1e300, math.inf, math.nan)
     COMMANDS = (["check"], ["constants"], ["dwell"], ["feasible", "--grid", "200"],
                 ["robust", "--samples", "8"], ["simulate", "--horizon", "30"],
                 ["simulate", "--open-loop", "1", "--horizon", "30"],

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icufunnel import (
     CapacityPolicy,
@@ -149,6 +152,22 @@ class TestDerivatives:
         pm = EpidemicParams(**dict(TABLE, rho=1.0))
         with pytest.raises(ValueError, match="rho"):
             derivatives(89950.0, 49.0, 1.0, 0.0, 1.0, 0, pm, 100000.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_python_floats_give_the_numpy_scalar_bits(self, scenario, interior_scenario, data):
+        # the simulator passes Python floats where it used to pass np.float64
+        # scalars; every output must keep its exact bits
+        sc = data.draw(st.sampled_from([scenario, interior_scenario]))
+        N = sc.population()
+        S, I_A, I_S = (data.draw(st.floats(0.0, N), label=k) for k in ("S", "I_A", "I_S"))
+        D = data.draw(st.floats(0.0, N, exclude_max=True), label="D")
+        psi = data.draw(st.floats(0.0, 1.0), label="psi")
+        u = data.draw(st.sampled_from([0, 1]), label="u")
+        got = derivatives(S, I_A, I_S, D, psi, u, sc.params, N)
+        want = derivatives(*map(np.float64, (S, I_A, I_S, D, psi)), u, sc.params, N)
+        assert [type(x) for x in got] == [float] * 6
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 class TestVectorField:

@@ -29,7 +29,7 @@ from icufunnel import (
     validate_trajectory,
 )
 from icufunnel import simulator
-from icufunnel.simulator import MAX_STEP_DAYS
+from icufunnel.simulator import MAX_STEP_DAYS, MAX_STEPS
 from test_model import make_scenario
 
 
@@ -58,6 +58,22 @@ class TestSimConfig:
         # the sample grid has horizon / output_dt rows, which must be a finite count
         with pytest.raises(ValueError, match=re.escape(message)):
             SimConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(horizon=1e300),
+        dict(horizon=2.0 * MAX_STEPS * MAX_STEP_DAYS, output_dt=2.0 * MAX_STEPS * MAX_STEP_DAYS),
+        dict(horizon=1000.0, output_dt=1000.0 / (2.0 * MAX_STEPS)),
+    ], ids=["huge_horizon", "huge_horizon_one_row", "tiny_output_dt"])
+    def test_rejects_a_run_that_never_finishes(self, kw):
+        # more than MAX_STEPS grid rows or fewest solver steps
+        with pytest.raises(ValueError, match=re.escape(
+                f"run too long: horizon / min(output_dt, MAX_STEP_DAYS) is above "
+                f"MAX_STEPS = {MAX_STEPS}, got horizon {kw['horizon']!r}")):
+            SimConfig(**kw)
+
+    def test_accepts_a_run_at_the_step_cap(self):
+        SimConfig(horizon=MAX_STEPS * MAX_STEP_DAYS)
+        SimConfig(horizon=1000.0, output_dt=1000.0 / MAX_STEPS)
 
     def test_defaults(self):
         cfg = SimConfig()
@@ -285,6 +301,25 @@ class TestEventEdgeCases:
         # scipy's first-step norm overflows; the run must not warn and go on
         with pytest.raises(IntegrationError, match="overflow"):
             simulate(make_scenario(IA0=1e300), None, SimConfig(open_loop_u=0, horizon=5.0))
+
+    def test_rhs_overflow_is_integration_error(self):
+        # Python floats overflow to inf silently; the solver's numpy
+        # operations, under np.errstate, raise on what follows
+        with pytest.raises(IntegrationError, match=r"^floating-point error after t = 0\.0: "):
+            simulate(make_scenario(S0=1.7e308), None, SimConfig(open_loop_u=0, horizon=5.0))
+
+    def test_rhs_gets_python_floats(self, scenario, cp8, monkeypatch):
+        # one tolist() per solver stage: numpy scalars cost about twice as much
+        seen = []
+
+        def spy(*args):
+            seen.append(tuple(map(type, args)))
+            return derivatives(*args)
+
+        monkeypatch.setattr(simulator, "derivatives", spy)
+        traj, _ = simulate(scenario, cp8, SimConfig(horizon=60.0))
+        assert traj.events and seen
+        assert set(seen) == {(float, float, float, float, float, int, type(scenario.params), float)}
 
     def test_switch_budget_trips(self, scenario, cp8, monkeypatch):
         monkeypatch.setattr(simulator, "MAX_SWITCHES", 2)
