@@ -1,4 +1,4 @@
-"""Robustness probing, q-monotonicity verification, and threshold sweeps.
+"""Robustness probing and threshold sweeps.
 
 The robustness result is fundamentally a sampled under-approximation: the
 guarantee being probed is existential (some positive radius works), so the
@@ -6,32 +6,32 @@ certified radius reported here is a radius, found by bisection, at which
 every perturbed scenario kept both its admissibility and the fixed
 threshold pair's admissibility, not a proven bound. The probe derives and
 checks all perturbed scenarios of one radius in a single array pass
-through the same formulas the scalar functions use.
+through the same formulas the scalar functions use. The sweep runs one
+closed loop per off threshold and fills each row's report columns from
+the run's RunReport by field name.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constants import (
-    DerivedConstants, _derive, _div, _sigma_rob_conditions, check_sigma_rob, derive_constants,
-)
-# q_eval is not called here; it stays bound because the benchmark tracer hooks analysis.q_eval
-from .controller import ControllerParams, _cz_conditions, _q, in_CZ, q_eval  # noqa: F401
+from .constants import _derive, _sigma_rob_conditions, check_sigma_rob, derive_constants
+from .controller import ControllerParams, _cz_conditions, in_CZ
+# not called here; they stay bound because the benchmark tracer hooks
+# analysis.q_eval and analysis.q_monotonicity_check
+from .controller import q_eval, q_monotonicity_check  # noqa: F401
 from .model import Scenario, _batch, _clipped
-from .simulator import PreconditionError, SimConfig, simulate
+from .simulator import PreconditionError, RunReport, SimConfig, simulate
 
 __all__ = [
     "RobustnessResult",
-    "QMonotonicityReport",
     "SweepRow",
     "SweepResult",
     "robustness_probe",
-    "q_monotonicity_check",
     "sweep_eps_minus",
 ]
 
@@ -45,6 +45,9 @@ _PROBE_KEYS = (
 # Bisection steps on the probe radius: certified_delta is within
 # delta / 2**20 of the largest radius where every sample passes.
 _PROBE_BISECT_DEPTH = 20
+# The most perturbed scenarios robustness_probe may draw; a far larger count
+# would exhaust memory. Not a setting.
+MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -64,27 +67,6 @@ class RobustnessResult:
 
 
 @dataclass(frozen=True)
-class QMonotonicityReport:
-    """Grid and closed-form evidence that q strictly increases.
-
-    The closed forms factor q' as q1/q2^2: positivity of q1 at the left
-    endpoint plus a positive slope coefficient (q1' = 2*coeff*q2) make q1
-    positive on the whole interval, hence q strictly increasing.
-    """
-
-    monotone_on_grid: bool
-    first_violation: tuple[float, float] | None
-    q1_at_left: float
-    q1_at_left_positive: bool
-    slope_coefficient: float
-    slope_positive: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.monotone_on_grid and self.q1_at_left_positive and self.slope_positive
-
-
-@dataclass(frozen=True)
 class SweepRow:
     """Closed-loop summary for one off-threshold value (error if the run failed)."""
 
@@ -95,6 +77,10 @@ class SweepRow:
     input_cost: float = math.nan
     max_IS: float = math.nan
     error: str | None = None
+
+
+# SweepRow's columns that come from the run's RunReport, matched by field name
+_REPORT_COLUMNS = {f.name for f in fields(SweepRow)} & {f.name for f in fields(RunReport)}
 
 
 @dataclass(frozen=True)
@@ -156,12 +142,13 @@ def robustness_probe(
     Raises:
         PreconditionError: the nominal scenario is not robust-admissible or
             cp is not admissible for it.
-        ValueError: delta not finite and >= 0, or samples < 1.
+        ValueError: delta not finite and >= 0, or samples below 1 or
+            above MAX_SAMPLES.
     """
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples!r}")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be 1 to MAX_SAMPLES = {MAX_SAMPLES}, got {samples!r}")
     dc = derive_constants(scenario)
     if not check_sigma_rob(scenario, dc).in_sigma_rob:
         raise PreconditionError("nominal scenario is not in the robust admissible set")
@@ -194,61 +181,6 @@ def robustness_probe(
     )
 
 
-@np.errstate(all="ignore")
-def q_monotonicity_check(
-    scenario: Scenario,
-    dc: DerivedConstants,
-    grid: int | Sequence[float] = 1000,
-) -> QMonotonicityReport:
-    """Verify strict increase of q on [M2/M1, phi_plus], two ways.
-
-    Empirically: q at consecutive grid points must strictly increase (an int
-    grid is that many points, endpoints included). Analytically: the closed
-    forms require q1 > 0 at the left endpoint and a positive slope
-    coefficient p*(zeta+1)*M1 - z/N; both follow from A6. Always returns a
-    report (a q evaluation failure shows up as a grid violation with nan,
-    and degenerate constants such as M1 = 0 or p = 0 give a report that is
-    not all_ok).
-    """
-    pm = scenario.params
-    ini = scenario.init
-    lo = _div(dc.M2, dc.M1)  # a numpy float: the divisions by p*N below may be by zero
-    hi = dc.phi_plus
-    if isinstance(grid, int):
-        pts = np.linspace(lo, hi, max(grid, 2))
-    else:
-        pts = np.asarray(list(grid), dtype=float)
-        if pts.size < 2:
-            raise ValueError("grid must have at least two points")
-
-    values = _q(pts, dc, scenario)
-    rising = values[:-1] < values[1:]
-    monotone = bool(rising.all())
-    first_violation = None
-    if not monotone:
-        i = int(np.argmin(rising))
-        first_violation = (float(pts[i]), float(pts[i + 1]))
-
-    z = pm.beta_A * dc.zeta + pm.beta_S
-    q2_left = dc.alpha_S_eff + dc.M1 * lo - dc.M2  # = alpha_S/(1-rho) exactly
-    q1_left = (
-        pm.p * z * (1.0 - ini.R0 / dc.N - 2.0 * lo / (pm.p * dc.N))
-        + pm.p * (dc.zeta + 1.0) * (2.0 * dc.M1 * lo - dc.M2)
-    ) * q2_left - pm.p * z * dc.M1 * lo * (
-        1.0 - ini.R0 / dc.N - lo / (pm.p * dc.N)
-    ) - pm.p * dc.M1 * (dc.zeta + 1.0) * lo * (dc.M1 * lo - dc.M2)
-    slope_coeff = pm.p * (dc.zeta + 1.0) * dc.M1 - z / dc.N
-
-    return QMonotonicityReport(
-        monotone_on_grid=monotone,
-        first_violation=first_violation,
-        q1_at_left=float(q1_left),
-        q1_at_left_positive=bool(q1_left > 0.0),
-        slope_coefficient=slope_coeff,
-        slope_positive=slope_coeff > 0.0,
-    )
-
-
 def sweep_eps_minus(
     scenario: Scenario,
     eps_plus: float,
@@ -272,11 +204,6 @@ def sweep_eps_minus(
             rows.append(SweepRow(eps_minus=float(em), error=str(exc)))
             continue
         rows.append(SweepRow(
-            eps_minus=float(em),
-            D_max=report.D_max,
-            switch_count=report.switch_count,
-            pandemic_end=report.pandemic_end,
-            input_cost=report.input_cost,
-            max_IS=report.max_IS,
+            eps_minus=float(em), **{name: getattr(report, name) for name in _REPORT_COLUMNS},
         ))
     return SweepResult(eps_plus=eps_plus, rows=tuple(rows))

@@ -4,8 +4,9 @@ The control law is a two-threshold relay on the severe-case count: switch on
 at phi_plus - eps_plus, switch off at eps_minus, hold in between.
 The rest of the module decides whether a threshold pair is admissible (the
 ordering constraint plus conditions A4 and A5 on the growth functional q),
-constructs an admissible pair when one exists, and evaluates the closed-form
-lower bounds on the time between switches.
+checks on a grid and in closed form that q strictly increases, constructs an
+admissible pair when one exists, and evaluates the closed-form lower bounds
+on the time between switches. q itself is written once, in _q_terms.
 """
 
 from __future__ import annotations
@@ -28,14 +29,21 @@ __all__ = [
     "CZReport",
     "QEvalDomainError",
     "QEvalRangeWarning",
+    "QMonotonicityReport",
     "InfeasibleError",
     "control_update",
     "q_eval",
+    "q_monotonicity_check",
     "in_CZ",
     "find_feasible_eps",
     "find_max_slack_eps",
     "dwell_lower_bounds",
 ]
+
+
+# The most points an int grid of find_feasible_eps or q_monotonicity_check
+# may ask for; a far larger grid would exhaust memory. Not a setting.
+MAX_GRID = 1_000_000
 
 
 class QEvalDomainError(ValueError):
@@ -102,6 +110,27 @@ class DwellBounds:
 
 
 @dataclass(frozen=True)
+class QMonotonicityReport:
+    """Grid and closed-form evidence that q strictly increases.
+
+    The closed forms factor q' as q1/q2^2: positivity of q1 at the left
+    endpoint plus a positive slope coefficient (q1' = 2*coeff*q2) make q1
+    positive on the whole interval, hence q strictly increasing.
+    """
+
+    monotone_on_grid: bool
+    first_violation: tuple[float, float] | None
+    q1_at_left: float
+    q1_at_left_positive: bool
+    slope_coefficient: float
+    slope_positive: bool
+
+    @property
+    def all_ok(self) -> bool:
+        return self.monotone_on_grid and self.q1_at_left_positive and self.slope_positive
+
+
+@dataclass(frozen=True)
 class CZReport:
     """Membership report for one threshold pair: ordering, A4, A5."""
 
@@ -150,24 +179,34 @@ def control_update(I_S: float, u_prev: int, cp: ControllerParams) -> int:
     return u_prev
 
 
+def _q_terms(eps, dc: DerivedConstants, scenario):
+    """q's numerator and denominator at eps: the one statement of q.
+
+    _q divides them; q_monotonicity_check differentiates the quotient at
+    the left endpoint. Arguments broadcast as in _q, and callers silence
+    floating-point warnings with np.errstate.
+    """
+    pm = scenario.params
+    den = dc.alpha_S_eff + (dc.M1 * eps - dc.M2)
+    z = pm.beta_A * dc.zeta + pm.beta_S
+    num = pm.p * z * eps * (1.0 - scenario.init.R0 / dc.N - _div(eps, pm.p * dc.N)) + pm.p * (
+        dc.M1 * eps - dc.M2
+    ) * (dc.zeta + 1.0) * eps
+    return num, den
+
+
 @np.errstate(all="ignore")
 def _q(eps, dc: DerivedConstants, scenario):
     """q at eps; nan where the denominator is not positive, or where p = 0.
 
-    The one implementation of the q formula (see q_eval). It warns about
-    nothing and raises nothing, so callers that scan or bisect q use it
-    directly. eps, the constants and the scenario coordinates may be floats
-    or arrays (a scan's grid, or one value per scenario of a batch); they
-    broadcast elementwise with the same operation order, so every form
-    gives bit-identical values. The result is a numpy float or array.
+    The q that every caller evaluates (see q_eval). It warns about nothing
+    and raises nothing, so callers that scan or bisect q use it directly.
+    eps, the constants and the scenario coordinates may be floats or arrays
+    (a scan's grid, or one value per scenario of a batch); they broadcast
+    elementwise with the same operation order, so every form gives
+    bit-identical values. The result is a numpy float or array.
     """
-    pm = scenario.params
-    ini = scenario.init
-    den = dc.alpha_S_eff + (dc.M1 * eps - dc.M2)
-    z = pm.beta_A * dc.zeta + pm.beta_S
-    num = pm.p * z * eps * (1.0 - ini.R0 / dc.N - _div(eps, pm.p * dc.N)) + pm.p * (
-        dc.M1 * eps - dc.M2
-    ) * (dc.zeta + 1.0) * eps
+    num, den = _q_terms(eps, dc, scenario)
     return num / np.where(den > 0.0, den, np.nan)
 
 
@@ -202,13 +241,70 @@ def q_eval(eps: float, dc: DerivedConstants, scenario: Scenario) -> float:
 
 
 @np.errstate(all="ignore")
+def q_monotonicity_check(
+    scenario: Scenario,
+    dc: DerivedConstants,
+    grid: int | Sequence[float] = 1000,
+) -> QMonotonicityReport:
+    """Verify strict increase of q on [M2/M1, phi_plus], two ways.
+
+    Empirically: q at consecutive grid points must strictly increase (an int
+    grid is that many points, endpoints included). Analytically: the closed
+    forms require q1 > 0 at the left endpoint and a positive slope
+    coefficient p*(zeta+1)*M1 - z/N; both follow from A6. Always returns a
+    report (a q evaluation failure shows up as a grid violation with nan,
+    and degenerate constants such as M1 = 0 or p = 0 give a report that is
+    not all_ok).
+
+    Raises:
+        ValueError: an int grid above MAX_GRID, or a sequence of fewer
+            than two points.
+    """
+    pm = scenario.params
+    lo = _div(dc.M2, dc.M1)  # a numpy float: the divisions by p*N below may be by zero
+    if isinstance(grid, int):
+        if grid > MAX_GRID:
+            raise ValueError(f"grid must have at most MAX_GRID = {MAX_GRID} points, got {grid!r}")
+        pts = np.linspace(lo, dc.phi_plus, max(grid, 2))
+    else:
+        pts = np.asarray(list(grid), dtype=float)
+        if pts.size < 2:
+            raise ValueError("grid must have at least two points")
+
+    values = _q(pts, dc, scenario)
+    rising = values[:-1] < values[1:]
+    monotone = bool(rising.all())
+    first_violation = None
+    if not monotone:
+        i = int(np.argmin(rising))
+        first_violation = (float(pts[i]), float(pts[i + 1]))
+
+    # q1 = num' * den - num * den', and den' = M1
+    z = pm.beta_A * dc.zeta + pm.beta_S
+    num, den = _q_terms(lo, dc, scenario)  # den = alpha_S/(1-rho) exactly
+    num_slope = pm.p * z * (
+        1.0 - scenario.init.R0 / dc.N - 2.0 * lo / (pm.p * dc.N)
+    ) + pm.p * (dc.zeta + 1.0) * (2.0 * dc.M1 * lo - dc.M2)
+    q1_left = num_slope * den - dc.M1 * num
+    slope_coeff = pm.p * (dc.zeta + 1.0) * dc.M1 - z / dc.N
+
+    return QMonotonicityReport(
+        monotone_on_grid=monotone,
+        first_violation=first_violation,
+        q1_at_left=float(q1_left),
+        q1_at_left_positive=bool(q1_left > 0.0),
+        slope_coefficient=slope_coeff,
+        slope_positive=slope_coeff > 0.0,
+    )
+
+
+@np.errstate(all="ignore")
 def _cz_conditions(cp: ControllerParams, scenario, dc: DerivedConstants) -> list[Condition]:
     """Ordering, A4 and A5 on columns (see constants._sigma_conditions)."""
-    eps_probe = cp.phi_plus - cp.eps_plus
     # A4 and A5 speak of q on [M2/M1, phi_plus], which M1 = 0 leaves undefined
     defined = dc.M1 != 0.0
     a4_rhs = cp.phi_plus - np.where(defined, _div(dc.M2, dc.M1), np.nan)
-    q_at_probe = np.where(defined, _q(eps_probe, dc, scenario), np.nan)
+    q_at_probe = np.where(defined, _q(cp.on_threshold(), dc, scenario), np.nan)
     return [
         Condition(
             "ordering",
@@ -275,6 +371,8 @@ def find_feasible_eps(
     do). The returned pair passes in_CZ by construction.
 
     Raises:
+        ValueError: an int grid below 1 or above MAX_GRID, or a sequence
+            that is empty or leaves the open interval.
         InfeasibleError: basic admissibility fails (named group), or no
             grid point satisfies q(eps) < phi_plus. The latter cannot
             happen with a fine grid when A3 holds, since q tends to
@@ -286,8 +384,9 @@ def find_feasible_eps(
     lo = dc.M2 / dc.M1
     hi = dc.phi_plus
     if isinstance(grid, int):
-        if grid < 1:
-            raise ValueError(f"grid must have at least one point, got {grid!r}")
+        if not 1 <= grid <= MAX_GRID:
+            raise ValueError(f"grid must have at least one point and at most "
+                             f"MAX_GRID = {MAX_GRID} points, got {grid!r}")
         step = (hi - lo) / (grid + 1)
         candidates = lo + np.arange(1, grid + 1) * step
     else:
@@ -330,9 +429,6 @@ def find_max_slack_eps(scenario: Scenario, dc: DerivedConstants) -> ControllerPa
             not shown strictly increasing on [M2/M1, phi_plus] (the
             bisection would then have no single crossing to find).
     """
-    # analysis builds on this module, so it is imported at call time
-    from .analysis import q_monotonicity_check
-
     _require_sigma(scenario, dc)
     if not q_monotonicity_check(scenario, dc).all_ok:
         raise InfeasibleError("infeasible: q is not strictly increasing")

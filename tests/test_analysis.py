@@ -82,6 +82,12 @@ class TestProbeValidation:
         with pytest.raises(ValueError, match="samples"):
             robustness_probe(scenario, city_pair, delta=1e-3, samples=0)
 
+    def test_samples_above_the_cap(self, interior):
+        sc, _, cp = interior
+        cap = analysis.MAX_SAMPLES
+        with pytest.raises(ValueError, match=f"MAX_SAMPLES = {cap}, got {cap + 1}"):
+            robustness_probe(sc, cp, delta=1e-3, samples=cap + 1)
+
     def test_inadmissible_pair_rejected(self, scenario, cp8):
         # the (8, 10) pair fails A5, so there is nothing to probe around
         with pytest.raises(PreconditionError, match="not admissible"):

@@ -271,6 +271,16 @@ class TestFeasibleCommand:
         assert main(["feasible", path]) == 1
         assert "infeasible: A3" in capsys.readouterr().err
 
+    # 2**63 used to wrap np.arange to an empty grid and report infeasible
+    @pytest.mark.parametrize("grid", [10**12, 2**63])
+    def test_grid_above_the_cap_is_usage_error(self, tmp_path, interior_scenario, grid, capsys):
+        path = write(tmp_path, scenario_file_text(interior_scenario))
+        assert main(["feasible", path, "--grid", str(grid)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: grid must have at least one point and at most "
+                                f"MAX_GRID = 1000000 points, got {grid}\n")
+
 
 class TestSimulateCommand:
     def test_open_loop_flag_defaults_to_zero(self, plain_file, tmp_path, capsys):
@@ -369,6 +379,17 @@ class TestRobustCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: delta must be finite and >= 0, got {delta}\n"
+
+    @pytest.mark.parametrize("samples", [10**12, 2**63])
+    def test_samples_above_the_cap_is_usage_error(
+        self, tmp_path, interior_scenario, samples, capsys
+    ):
+        path = write(tmp_path, scenario_file_text(interior_scenario))
+        assert main(["robust", path, "--samples", str(samples)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: samples must be 1 to MAX_SAMPLES = 100000, got {samples}\n")
 
     def test_fallback_pair_has_slack(self, tmp_path, interior_scenario, capsys):
         # no [controller] section and default flags: the probe anchors on

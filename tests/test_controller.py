@@ -22,7 +22,9 @@ from icufunnel import (
     find_max_slack_eps,
     in_CZ,
     q_eval,
+    q_monotonicity_check,
 )
+from icufunnel import controller
 from icufunnel.controller import _q
 from test_model import make_scenario
 
@@ -232,6 +234,13 @@ class TestFindFeasible:
             find_feasible_eps(scenario, dc, grid=0)
         with pytest.raises(ValueError, match="at least one"):
             find_feasible_eps(scenario, dc, grid=[])
+
+    @pytest.mark.parametrize("scan", [find_feasible_eps, q_monotonicity_check])
+    def test_int_grid_above_the_cap_rejected(self, scenario, dc, scan):
+        # refused before any point is placed
+        cap = controller.MAX_GRID
+        with pytest.raises(ValueError, match=f"MAX_GRID = {cap} points, got {cap + 1}"):
+            scan(scenario, dc, grid=cap + 1)
 
     def test_infeasible_names_the_failing_group(self):
         # capacity too small for the growth bound: A3 fails

@@ -1,5 +1,6 @@
 """The package namespace is the union of the modules' public names."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,24 @@ def test_module_lists_name_every_public_definition():
             if not name.startswith("_") and getattr(value, "__module__", None) == m.__name__
         }
         assert defined <= set(m.__all__), m.__name__
+
+
+# Each module may import only from the modules before it: no import cycle,
+# not even one deferred into a function body.
+LAYERS = ("model", "constants", "controller", "simulator", "analysis", "cli")
+
+
+def test_modules_import_in_layers():
+    package = Path(icufunnel.__file__).parent
+    assert {p.stem for p in package.glob("*.py")} == {"__init__", *LAYERS}
+    for i, name in enumerate(LAYERS):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                for target in targets:
+                    assert target.split(".")[0] in LAYERS[:i], (
+                        f"{name}.py line {node.lineno} imports .{target}")
 
 
 # One fresh interpreter: the certifying commands run without scipy, the first
