@@ -46,6 +46,13 @@ __all__ = [
 MAX_GRID = 1_000_000
 
 
+def _check_int_grid(grid: int) -> None:
+    """Refuse an int grid of the q scans below 1 or above MAX_GRID points."""
+    if not 1 <= grid <= MAX_GRID:
+        raise ValueError(f"grid must have at least one point and at most "
+                         f"MAX_GRID = {MAX_GRID} points, got {grid!r}")
+
+
 class QEvalDomainError(ValueError):
     """q is undefined: its denominator is not positive at this point."""
 
@@ -249,22 +256,21 @@ def q_monotonicity_check(
     """Verify strict increase of q on [M2/M1, phi_plus], two ways.
 
     Empirically: q at consecutive grid points must strictly increase (an int
-    grid is that many points, endpoints included). Analytically: the closed
-    forms require q1 > 0 at the left endpoint and a positive slope
-    coefficient p*(zeta+1)*M1 - z/N; both follow from A6. Always returns a
-    report (a q evaluation failure shows up as a grid violation with nan,
-    and degenerate constants such as M1 = 0 or p = 0 give a report that is
-    not all_ok).
+    grid is that many points, endpoints included; 1 gives the two endpoints).
+    Analytically: the closed forms require q1 > 0 at the left endpoint and a
+    positive slope coefficient p*(zeta+1)*M1 - z/N; both follow from A6.
+    Always returns a report (a q evaluation failure shows up as a grid
+    violation with nan, and degenerate constants such as M1 = 0 or p = 0
+    give a report that is not all_ok).
 
     Raises:
-        ValueError: an int grid above MAX_GRID, or a sequence of fewer
-            than two points.
+        ValueError: an int grid below 1 or above MAX_GRID, or a sequence
+            of fewer than two points.
     """
     pm = scenario.params
     lo = _div(dc.M2, dc.M1)  # a numpy float: the divisions by p*N below may be by zero
     if isinstance(grid, int):
-        if grid > MAX_GRID:
-            raise ValueError(f"grid must have at most MAX_GRID = {MAX_GRID} points, got {grid!r}")
+        _check_int_grid(grid)
         pts = np.linspace(lo, dc.phi_plus, max(grid, 2))
     else:
         pts = np.asarray(list(grid), dtype=float)
@@ -384,9 +390,7 @@ def find_feasible_eps(
     lo = dc.M2 / dc.M1
     hi = dc.phi_plus
     if isinstance(grid, int):
-        if not 1 <= grid <= MAX_GRID:
-            raise ValueError(f"grid must have at least one point and at most "
-                             f"MAX_GRID = {MAX_GRID} points, got {grid!r}")
+        _check_int_grid(grid)
         step = (hi - lo) / (grid + 1)
         candidates = lo + np.arange(1, grid + 1) * step
     else:

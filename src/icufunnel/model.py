@@ -240,7 +240,7 @@ def _batch(x: np.ndarray, keys: tuple[str, ...]) -> tuple[SimpleNamespace, np.nd
                 & (phi > 0.0) & (phi < math.inf) & (n > 0.0) & (n < math.inf))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
     """Instantaneous model state at time t (days)."""
 

@@ -12,10 +12,16 @@ as the solver's end point, so the knots are those of a solve to the
 horizon, cut at the guard. Open-loop runs fix the input and arm no guard,
 so their one solve reaches the horizon.
 
-Each phase is sampled from its dense output: the output-grid rows inside
-the phase in one array call, and the closing row (an event or the horizon)
-in a scalar call, since that state also starts the next phase. The grid is
-the multiples of output_dt that do not pass the horizon, plus the horizon.
+Each phase is sampled from its steps' dense output, which the guard keeps
+as the solver accepts each step (the interpolant scipy's OdeSolution would
+hold; solve_ivp builds none). The crossing and the closing row (an event or
+the horizon; that state also starts the next phase) lie on the last step,
+and _dense_at evaluates them with scipy's scalar arithmetic minus its array
+wrapping. The output-grid rows inside the phase go to the steps OdeSolution
+would pick, and _dense_rows evaluates all steps holding k rows in one
+stacked product. Both give OdeSolution's bits, so every sample and event
+time is the one a scipy call gives. The grid is the multiples of output_dt
+that do not pass the horizon, plus the horizon.
 The RK45 step cap is the module constant MAX_STEP_DAYS, the chattering
 tripwire on the event count is the module constant MAX_SWITCHES, and the
 cap on a run's grid rows and fewest solver steps is the module constant
@@ -29,7 +35,7 @@ twice as much, and IEEE + - * / give the same bits on either type, so every
 knot, event and sample is unchanged. A Python float overflows to inf
 without an error, so an overflow inside the right-hand side surfaces in the
 solver's numpy operations, which run under np.errstate and raise. Grid rows
-are built from the columns of one dense-output call, one tolist() each.
+are built from the columns of one array, one tolist() each.
 
 scipy is imported on the first solve, not with the package: the certifying
 commands never integrate, and importing scipy.integrate costs most of the
@@ -104,8 +110,10 @@ def __getattr__(name: str):
     from scipy.integrate import RK45, solve_ivp
 
     class _StopAtGuard(RK45):
-        """RK45 that finishes at the first accepted knot where guard(y) holds.
+        """RK45 that finishes at the first accepted knot where guard holds.
 
+        guard(y, dense) gets each accepted step's new state and its dense
+        output (dense_output(), the interpolant OdeSolution would hold).
         t_bound stays the caller's end point, so every step size, knot and
         dense-output segment up to that knot is the one a plain RK45 solve
         over the same span would take.
@@ -117,7 +125,7 @@ def __getattr__(name: str):
 
         def step(self):
             message = super().step()
-            if self.status == "running" and self.guard(self.y):
+            if self.status != "failed" and self.guard(self.y, self.dense_output()):
                 self.status = "finished"
             return message
 
@@ -327,6 +335,7 @@ def simulate(
     gi = 1  # grid[0] = 0 is covered by the initial row
     max_is = float(ini.IS0)
     t_cur = 0.0
+    steps: list = []  # the dense output of each accepted step of the phase
 
     while t_cur < cfg.horizon:
         if len(events) > MAX_SWITCHES:
@@ -343,12 +352,16 @@ def simulate(
             # the relay would leave mode _u here (never in open loop)
             return not open_loop and control_update(y[2], _u, cp) != _u
 
+        def guard(y, dense):
+            steps.append(dense)
+            return fires(y)
+
         try:
             # an overflow or nan would otherwise only warn, and RK45 keeps stepping on nan
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 sol = this.solve_ivp(
-                    rhs, (t_cur, cfg.horizon), y_cur, method=this._StopAtGuard, guard=fires,
-                    dense_output=True, rtol=cfg.rtol, atol=cfg.atol, max_step=MAX_STEP_DAYS,
+                    rhs, (t_cur, cfg.horizon), y_cur, method=this._StopAtGuard, guard=guard,
+                    rtol=cfg.rtol, atol=cfg.atol, max_step=MAX_STEP_DAYS,
                 )
         except FloatingPointError as exc:
             raise IntegrationError(f"floating-point error after t = {t_cur!r}: {exc}") from exc
@@ -356,7 +369,7 @@ def simulate(
             raise IntegrationError(f"integrator failed near t = {sol.t[-1]!r}: {sol.message}")
 
         # the solve ends at the first knot where the guard fires, or else at
-        # the horizon, where the guard may fire too
+        # the horizon, where the guard may fire too; either way on the last step
         hit = fires(sol.y[:, -1])
         if not hit:
             t_end = cfg.horizon
@@ -365,7 +378,7 @@ def simulate(
             a, b = float(sol.t[-2]), float(sol.t[-1])
             while b - a > cfg.event_time_tol:
                 m = 0.5 * (a + b)
-                if fires(sol.sol(m)):
+                if fires(_dense_at(steps[-1], m)):
                     b = m
                 else:
                     a = m
@@ -373,14 +386,15 @@ def simulate(
             if t_end <= t_cur:
                 raise ChatteringError(f"zero-length phase: event located at t = {t_end!r}")
 
-        # grid rows strictly inside the phase in one dense-output call; the
-        # closing row is a scalar call, because it also starts the next phase
+        # grid rows strictly inside the phase, then the closing row, which
+        # also starts the next phase
         gj = bisect_left(grid, t_end, gi)
         ts = grid[gi:gj]
-        ys = sol.sol(np.array(ts)) if ts else np.empty((6, 0))
+        ys = _dense_rows(steps, sol.t, np.array(ts))
         samples.extend(map(State, *ys.tolist(), ts))
-        y_end = sol.sol(t_end)
+        y_end = _dense_at(steps[-1], t_end)
         samples.append(State(*y_end.tolist(), t=t_end))
+        steps.clear()  # the solver lingers in a reference cycle until a collection
         phase_is = np.concatenate((sol.y[2][sol.t <= t_end], ys[2], y_end[2:3]))
         max_is = max(max_is, float(phase_is.max()))
         if not hit:
@@ -409,6 +423,44 @@ def simulate(
         pandemic_over=all(s.I_S < threshold for s in samples if s.t >= pandemic_end),
     )
     return traj, report
+
+
+def _dense_at(dense, t: float) -> np.ndarray:
+    """The state at time t on one RK45 step's dense output, bit for bit dense(t).
+
+    The same scalar arithmetic as scipy's RkDenseOutput: x = (t - t_old) / h,
+    its powers x .. x**4 by successive products (as np.cumprod forms them),
+    one gemv against Q, scaled by h and added to y_old; without the array
+    wrapping of a scipy call, which costs about four times as much.
+    """
+    h = float(dense.h)
+    x = (t - float(dense.t_old)) / h
+    x2 = x * x
+    x3 = x2 * x
+    return h * np.dot(dense.Q, np.array((x, x2, x3, x3 * x))) + dense.y_old
+
+
+def _dense_rows(steps: list, knots: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The states at sorted times ts as columns, bit for bit OdeSolution(knots, steps)(ts).
+
+    Each time goes to the step OdeSolution picks: a time on a knot to the
+    step that ends there. OdeSolution evaluates each step's k times with one
+    (6, 4) @ (4, k) product; every step holding k times is done here in one
+    stacked (m, 6, 4) @ (m, 4, k) product, which gives the same bits.
+    """
+    seg, first, count = np.unique(
+        np.searchsorted(knots, ts) - 1, return_index=True, return_counts=True)
+    ys = np.empty((6, len(ts)))
+    for k in np.unique(count).tolist():
+        pick = count == k
+        dense = [steps[i] for i in seg[pick].tolist()]
+        idx = first[pick][:, None] + np.arange(k)  # (m, k) row positions
+        h = np.array([d.h for d in dense])[:, None]
+        x = (ts[idx] - np.array([d.t_old for d in dense])[:, None]) / h
+        p = np.cumprod(np.broadcast_to(x[:, None, :], (len(dense), 4, k)), axis=1)
+        y = h[:, :, None] * (np.array([d.Q for d in dense]) @ p)
+        ys[:, idx] = (y + np.array([d.y_old for d in dense])[:, :, None]).transpose(1, 0, 2)
+    return ys
 
 
 def input_cost(traj: Trajectory, t: float) -> float:

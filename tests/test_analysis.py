@@ -291,6 +291,12 @@ class TestQMonotonicity:
         with pytest.raises(ValueError, match="two points"):
             q_monotonicity_check(scenario, dc, grid=[1.0])
 
+    @pytest.mark.parametrize("grid", [0, -5])
+    def test_int_grid_below_one_rejected(self, scenario, dc, grid):
+        # the same refusal as find_feasible_eps, not a clamp to two points
+        with pytest.raises(ValueError, match=rf"^grid must have at least one point .* got {grid}$"):
+            q_monotonicity_check(scenario, dc, grid=grid)
+
     def test_turnover_scenario_flagged_analytically(self, lowp):
         sc, dc = lowp
         rep = q_monotonicity_check(sc, dc)

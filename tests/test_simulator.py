@@ -219,20 +219,22 @@ class TestOpenLoop:
         assert [s.t for s in traj.samples] == expected
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Every solve_ivp call of simulate, as (fun, t_span, y0, keywords, result)."""
+    calls = []
+
+    def spy(fun, t_span, y0, **kw):
+        sol = solve_ivp(fun, t_span, y0, **kw)
+        calls.append((fun, t_span, np.array(y0), kw, sol))
+        return sol
+
+    monkeypatch.setattr(simulator, "solve_ivp", spy)
+    return calls
+
+
 class TestPhaseSolves:
     """Each phase is one solve that stops at the first knot where its guard fires."""
-
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        calls = []
-
-        def spy(fun, t_span, y0, **kw):
-            sol = solve_ivp(fun, t_span, y0, **kw)
-            calls.append((fun, t_span, np.array(y0), kw, sol))
-            return sol
-
-        monkeypatch.setattr(simulator, "solve_ivp", spy)
-        return calls
 
     def test_closed_loop_phase_ends_at_first_guard_knot(self, solves, scenario, cp8):
         traj, _ = simulate(scenario, cp8, SimConfig())
@@ -264,6 +266,48 @@ class TestPhaseSolves:
         assert len(solves) == 1
         _, t_span, _, _, sol = solves[0]
         assert t_span == (0.0, 1000.0) and sol.t[-1] == 1000.0
+
+
+class TestDenseOutput:
+    """Rows and event times are bit for bit those of scipy's own dense output.
+
+    Each phase is solved again by plain RK45 with dense_output=True; its
+    knots extend the phase's (TestPhaseSolves), so its OdeSolution holds the
+    same step interpolants up to the phase's end.
+    """
+
+    @pytest.mark.parametrize("closed_loop", [True, False], ids=["city_cp8", "open_loop_dt0.1"])
+    def test_rows_and_events_equal_ode_solution(self, solves, scenario, cp8, closed_loop):
+        cfg = SimConfig() if closed_loop else SimConfig(open_loop_u=0, output_dt=0.1)
+        cp = cp8 if closed_loop else None
+        traj, _ = simulate(scenario, cp, cfg)
+        event_ts = [ev.t for ev in traj.events]
+        for fun, t_span, y0, kw, sol in solves:
+            plain_kw = {k: v for k, v in kw.items() if k not in ("method", "guard")}
+            dense = solve_ivp(fun, t_span, y0, method="RK45", dense_output=True, **plain_kw).sol
+            t_end = min((t for t in event_ts if t > t_span[0]), default=cfg.horizon)
+            inside = [s for s in traj.samples if t_span[0] < s.t < t_end]
+            if inside:
+                got = np.array([s.as_tuple() for s in inside]).T
+                assert (got == dense(np.array([s.t for s in inside]))).all()
+            (closing,) = [s for s in traj.samples if s.t == t_end]
+            assert closing.as_tuple() == tuple(dense(t_end).tolist())
+            if t_end in event_ts:
+                # the bisection simulate ran before, one scipy call per midpoint;
+                # the scalar evaluator gives the same state at each
+                u = traj.u_at(t_span[0])
+                last_step = dense.interpolants[len(sol.t) - 2]
+                a, b = float(sol.t[-2]), float(sol.t[-1])
+                while b - a > cfg.event_time_tol:
+                    m = 0.5 * (a + b)
+                    y_m = dense(m)
+                    assert simulator._dense_at(last_step, m).tolist() == y_m.tolist()
+                    if control_update(y_m[2], u, cp) != u:
+                        b = m
+                    else:
+                        a = m
+                assert t_end == b
+        assert len(solves) == len(traj.events) + 1
 
 
 class TestPreconditions:
