@@ -225,9 +225,14 @@ def run_report_text(report: RunReport) -> str:
 
 def trajectory_csv_text(traj: Trajectory) -> str:
     lines = ["t,S,I_A,I_S,R,D,psi,u"]
+    phases = traj._phases()
+    k = 0
     for s in traj.samples:
+        # the rows are sorted: the input is the last piece started at or before s.t
+        while k + 1 < len(phases) and phases[k + 1][0] <= s.t:
+            k += 1
         lines.append(
-            f"{s.t!r},{s.S!r},{s.I_A!r},{s.I_S!r},{s.R!r},{s.D!r},{s.psi!r},{traj.u_at(s.t)}"
+            f"{s.t!r},{s.S!r},{s.I_A!r},{s.I_S!r},{s.R!r},{s.D!r},{s.psi!r},{phases[k][2]}"
         )
     return "\n".join(lines) + "\n"
 

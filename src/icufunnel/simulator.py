@@ -12,6 +12,14 @@ as the solver's end point, so the knots are those of a solve to the
 horizon, cut at the guard. Open-loop runs fix the input and arm no guard,
 so their one solve reaches the horizon.
 
+solve_ivp drives each phase, and the RK45 subclass _StopAtGuard takes its
+steps with its own copy of scipy 1.17.1's RungeKutta._step_impl, which
+calls the phase's right-hand side directly: scipy wraps each of a step's 6
+stage evaluations in two Python calls and an np.asarray. The copy keeps
+every numpy operation and their order, so each knot is scipy's bit for bit;
+TestPhaseSolves, TestDenseOutput and TestStepReplica catch a scipy that
+steps differently.
+
 Each phase is sampled from its steps' dense output, which the guard keeps
 as the solver accepts each step (the interpolant scipy's OdeSolution would
 hold; solve_ivp builds none). The crossing and the closing row (an event or
@@ -51,6 +59,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import pairwise
 from operator import attrgetter
@@ -108,26 +117,77 @@ def __getattr__(name: str):
     if name not in ("solve_ivp", "_StopAtGuard"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy.integrate import RK45, solve_ivp
+    from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 
     class _StopAtGuard(RK45):
         """RK45 that finishes at the first accepted knot where guard holds.
 
         guard(y, dense) gets each accepted step's new state and its dense
-        output (dense_output(), the interpolant OdeSolution would hold).
-        t_bound stays the caller's end point, so every step size, knot and
-        dense-output segment up to that knot is the one a plain RK45 solve
-        over the same span would take.
+        output, a _Step holding what scipy's RkDenseOutput would (the
+        interpolant OdeSolution would hold). t_bound stays the caller's end
+        point, so every step size, knot and dense-output segment up to that
+        knot is the one a plain RK45 solve over the same span would take.
+
+        _step_impl is scipy 1.17.1's RungeKutta._step_impl with rk_step
+        inlined: the same numpy operations in the same order (np.dot as
+        ndarray.dot, the same routine), on the raw right-hand side fun. It
+        skips what scipy wraps around each of a step's 6 stage evaluations
+        (fun_wrapped's np.asarray, OdeSolver.fun's counter, the rk_step
+        call) and, per step, np.linalg.norm and the RkDenseOutput; that
+        takes about a quarter off a 1,000-day closed-loop run. Python
+        scalars replace numpy ones only where they give the same bits:
+        math.sqrt(err.dot(err)) is np.linalg.norm's own path, then
+        math.nextafter and abs. nfev still counts every evaluation. A scipy
+        that steps differently breaks TestPhaseSolves, TestDenseOutput and
+        TestStepReplica, which compare against plain RK45.
         """
 
         def __init__(self, fun, t0, y0, t_bound, *, guard, **options):
             super().__init__(fun, t0, y0, t_bound, **options)
+            self.rhs = fun
             self.guard = guard
+            K = self.K  # rk_step's operands, as views of the stage rows
+            self.stages = [(self.C[s], K[:s].T, self.A[s, :s]) for s in range(1, self.n_stages)]
+            self.K_head = K[:-1].T
 
-        def step(self):
-            message = super().step()
-            if self.status != "failed" and self.guard(self.y, self.dense_output()):
+        def _step_impl(self):
+            t, y, K, rhs, direction = self.t, self.y, self.K, self.rhs, self.direction
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            h_abs = self.max_step if self.h_abs > self.max_step else max(self.h_abs, min_step)
+            K[0] = self.f  # no stage writes row 0, so a retry keeps it
+            step_rejected = False
+            while True:
+                if h_abs < min_step:
+                    return False, self.TOO_SMALL_STEP
+                h = h_abs * direction
+                t_new = t + h
+                if direction * (t_new - self.t_bound) > 0:
+                    t_new = self.t_bound
+                h = t_new - t
+                h_abs = abs(h)
+                for s, (c, K_s, a) in enumerate(self.stages, 1):
+                    K[s] = rhs(t + c * h, y + K_s.dot(a) * h)
+                y_new = y + h * self.K_head.dot(self.B)
+                K[-1] = f_new = rhs(t + h, y_new)
+                self.nfev += self.n_stages
+                scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+                err = K.T.dot(self.E) * h / scale
+                error_norm = math.sqrt(err.dot(err)) / self.n ** 0.5
+                if error_norm < 1:
+                    break
+                h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
+                step_rejected = True
+            factor = MAX_FACTOR if error_norm == 0 else min(
+                MAX_FACTOR, SAFETY * error_norm ** self.error_exponent)
+            self.h_abs = h_abs * (min(1, factor) if step_rejected else factor)
+            self.h_previous = h
+            self.y_old = y
+            self.t = t_new
+            self.y = y_new
+            self.f = f_new
+            if self.guard(y_new, _Step(t, h, y, K.T.dot(self.P))):
                 self.status = "finished"
-            return message
+            return True, None
 
     globals().setdefault("solve_ivp", solve_ivp)
     globals().setdefault("_StopAtGuard", _StopAtGuard)
@@ -423,6 +483,10 @@ def simulate(
         pandemic_over=all(s.I_S < threshold for s in samples if s.t >= pandemic_end),
     )
     return traj, report
+
+
+# One accepted RK45 step's dense output: the fields of scipy's RkDenseOutput.
+_Step = namedtuple("_Step", "t_old h y_old Q")
 
 
 def _dense_at(dense, t: float) -> np.ndarray:

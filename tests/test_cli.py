@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icufunnel import SimConfig
+from icufunnel import SimConfig, simulate
 from icufunnel.cli import (
     ScenarioFileError,
     bundled_scenario_path,
     load_scenario_file,
     main,
     scenario_file_text,
+    trajectory_csv_text,
 )
 from icufunnel.model import SCENARIO_KEYS
 from test_constants import A_CONST_OVERFLOW
@@ -307,6 +308,19 @@ class TestSimulateCommand:
         out = capsys.readouterr().out
         assert "switch_count = 1" in out
         assert "icu_bound_satisfied = True" in out
+
+    def test_u_column_is_the_input_at_each_row(self, run8, cp8):
+        # one walk of the input path gives u_at's right-continuous value per
+        # row; the second run starts on the on threshold, so switches at t = 0
+        at_zero, _ = simulate(make_scenario(IS0=34.0), cp8, SimConfig(horizon=60.0))
+        assert at_zero.events[0].t == 0.0
+        for traj in (run8[0], at_zero):
+            rows = trajectory_csv_text(traj).splitlines()[1:]
+            us = [int(row.rsplit(",", 1)[1]) for row in rows]
+            assert us == [traj.u_at(s.t) for s in traj.samples]
+            by_t = dict(zip((s.t for s in traj.samples), rows))
+            for ev in traj.events:  # every event instant is a row, holding the new input
+                assert by_t[ev.t].endswith(f",{ev.u_new}")
 
     def test_closed_loop_needs_thresholds(self, plain_file, capsys):
         assert main(["simulate", plain_file]) == 2

@@ -11,6 +11,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from icufunnel import (
@@ -29,6 +31,7 @@ from icufunnel import (
     validate_trajectory,
 )
 from icufunnel import simulator
+from icufunnel.model import _RANGES
 from icufunnel.simulator import MAX_STEP_DAYS, MAX_STEPS
 from test_model import make_scenario
 
@@ -308,6 +311,64 @@ class TestDenseOutput:
                         a = m
                 assert t_end == b
         assert len(solves) == len(traj.events) + 1
+
+
+# Each coordinate of the dynamics and the start over its model._RANGES range,
+# except two ends: rho stops at 0.9, since alpha_S / (1 - rho) grows without
+# bound as rho nears 1 and RK45 crawls through the stiff system, and the
+# compartments, which have no upper end, stop at 1e5.
+_START_AND_RATES = st.fixed_dictionaries({
+    k: st.floats(lo, 0.9 if k == "rho" else 1e5 if hi is None else hi)
+    for k, (lo, hi) in _RANGES.items() if k not in ("n_icu", "xi")
+})
+
+
+class TestStepReplica:
+    """_StopAtGuard's own step takes plain RK45's steps, bit for bit.
+
+    With a guard that never fires, a solve must give scipy's knots, states
+    and evaluation count, rejected steps included.
+    """
+
+    @staticmethod
+    def assert_steps_match(sc, u, rtol, **options):
+        pm, N = sc.params, sc.population()
+
+        def rhs(t, y):  # simulate's right-hand side for input u
+            S, I_A, I_S, _, D, psi = y.tolist()
+            return derivatives(S, I_A, I_S, D, psi, u, pm, N)
+
+        y0 = np.array([sc.init.S0, sc.init.IA0, sc.init.IS0, sc.init.R0, sc.init.D0, sc.init.psi0])
+        kw = dict(rtol=rtol, atol=SimConfig().atol, max_step=MAX_STEP_DAYS, **options)
+        ours = solve_ivp(rhs, (0.0, 60.0), y0, method=simulator._StopAtGuard,
+                         guard=lambda y, dense: False, **kw)
+        plain = solve_ivp(rhs, (0.0, 60.0), y0, method="RK45", **kw)
+        assert ours.success and plain.success
+        assert np.array_equal(ours.t, plain.t)
+        assert np.array_equal(ours.y, plain.y)
+        assert ours.nfev == plain.nfev
+        return ours
+
+    # A fast outbreak rejects a step on its own. A whole-day first step at
+    # rtol 1e-8 overshoots: its error norm passes (SAFETY / MIN_FACTOR)**5,
+    # about 1,845, so the MIN_FACTOR clamp cuts it.
+    @pytest.mark.parametrize("u, rtol, options", [
+        (0, 1e-6, {}),
+        (1, 1e-8, {"first_step": MAX_STEP_DAYS}),
+    ], ids=["natural", "whole_day_first_step"])
+    def test_rejected_steps_match(self, u, rtol, options):
+        sol = self.assert_steps_match(make_scenario(beta_A=1.0, beta_S=1.0), u, rtol, **options)
+        # 2 evaluations to start (1 with a first_step), then 6 per attempted step
+        assert sol.nfev > 6 * (len(sol.t) - 1) + 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=_START_AND_RATES, u=st.sampled_from([0, 1]),
+           rtol=st.sampled_from([1e-3, 1e-6, 1e-8]))
+    # no infection and psi at 1 without intervention: a zero error estimate
+    @example(values=dict(make_scenario().values(), IA0=0.0, IS0=0.0), u=0, rtol=1e-8)
+    def test_matches_plain_rk45(self, values, u, rtol):
+        assume(values["S0"] + values["IA0"] + values["IS0"] + values["R0"] > 0.0)
+        self.assert_steps_match(make_scenario(**values), u, rtol)
 
 
 class TestPreconditions:
