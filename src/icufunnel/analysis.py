@@ -168,6 +168,8 @@ def robustness_probe(
         certified = delta
     else:
         lo, hi = 0.0, delta  # zero radius reproduces the nominal, which passes
+        # a fixed depth, not controller._bisect's width rule: rounded midpoints
+        # leave the width just above delta / 2**20 about half the time
         for _ in range(_PROBE_BISECT_DEPTH):
             mid = 0.5 * (lo + hi)
             if passes(mid).all():

@@ -424,8 +424,9 @@ def find_max_slack_eps(scenario: Scenario, dc: DerivedConstants) -> ControllerPa
     The slacks that grow with on, min(on/2, on - M2/M1), start at 0 at
     on = M2/M1; the ones that shrink, min(phi_plus - q(on), phi_plus - on),
     start positive by A3 and end at 0 at on = phi_plus. With q strictly
-    increasing, the max-min sits where the two cross, found by bisection.
-    The returned pair passes in_CZ, so it is the natural anchor for
+    increasing, the max-min sits where the two cross, found by _bisect down
+    to adjacent floats; the pair is taken at the bracket's lower end. The
+    returned pair passes in_CZ, so it is the natural anchor for
     robustness_probe.
 
     Raises:
@@ -444,16 +445,28 @@ def find_max_slack_eps(scenario: Scenario, dc: DerivedConstants) -> ControllerPa
         shrinking = dc.phi_plus - max(_q(on, dc, scenario), on)
         return growing - shrinking
 
-    lo, hi = left, dc.phi_plus  # negative at lo, positive at hi
-    while True:
+    # negative at left, positive at phi_plus; a nan counts as crossed
+    lo, _ = _bisect(left, dc.phi_plus, lambda on: not growing_minus_shrinking(on) < 0.0)
+    return _pair_at(lo, dc)  # the side where A5 keeps at least the other slacks
+
+
+def _bisect(lo: float, hi: float, crossed, tol: float = 0.0) -> tuple[float, float]:
+    """Shrink a bracket [lo, hi] around the point where crossed(t) becomes true.
+
+    Halves while hi - lo > tol and a midpoint lies strictly between the ends,
+    moving hi to the midpoint where crossed holds and lo otherwise; so it
+    stops on adjacent floats whatever tol is. Shared by the switch search of
+    simulate and by find_max_slack_eps.
+    """
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if growing_minus_shrinking(mid) < 0.0:
-            lo = mid
-        else:
+        if crossed(mid):
             hi = mid
-    return _pair_at(lo, dc)  # the side where A5 keeps at least the other slacks
+        else:
+            lo = mid
+    return lo, hi
 
 
 def _down_dwell_bound(cp: ControllerParams, dc: DerivedConstants) -> float:

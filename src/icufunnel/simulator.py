@@ -6,10 +6,12 @@ Only one guard is armed per mode: the on threshold (phi_plus - eps_plus)
 while relaxed, the off threshold (eps_minus) while intervening.
 Each phase's solve stops at the first accepted solver knot where the armed
 guard fires; the crossing between that knot and the one before is located
-by bisection on the dense output, the phase is truncated there, the mode
-flips, and integration restarts. Step sizes are chosen against the horizon
-as the solver's end point, so the knots are those of a solve to the
-horizon, cut at the guard. Open-loop runs fix the input and arm no guard,
+by controller._bisect on the dense output, to within event_time_tol or to
+adjacent floats, whichever comes first (so any positive tolerance ends);
+the phase is truncated at the bracket's crossed end, the mode flips, and
+integration restarts. Step sizes are chosen against the horizon as the
+solver's end point, so the knots are those of a solve to the horizon, cut
+at the guard. Open-loop runs fix the input and arm no guard,
 so their one solve reaches the horizon.
 
 solve_ivp drives each phase, and the RK45 subclass _StopAtGuard takes its
@@ -32,10 +34,12 @@ time is the one a scipy call gives. The grid is the multiples of output_dt
 that do not pass the horizon, plus the horizon.
 The RK45 step cap is the module constant MAX_STEP_DAYS, the chattering
 tripwire on the event count is the module constant MAX_SWITCHES, and the
-cap on a run's grid rows and fewest solver steps is the module constant
-MAX_STEPS; none is a setting. Trajectories are validated after the fact
-against the analytically provable path properties, each check one mask over
-the sample columns.
+cap on a run's grid rows and solver steps is the module constant
+MAX_STEPS; none is a setting. SimConfig checks the grid rows and the fewest
+solver steps up front; the guard counts the steps the solver accepts, since
+a stiff system (rho near 1) takes far more than the fewest. Trajectories
+are validated after the fact against the analytically provable path
+properties, each check one mask over the sample columns.
 
 The right-hand side unpacks each solver stage with one tolist() and passes
 Python floats to model.derivatives: numpy scalar arithmetic costs about
@@ -67,7 +71,7 @@ from operator import attrgetter
 import numpy as np
 
 from .constants import DerivedConstants
-from .controller import ControllerParams, _down_dwell_bound, control_update
+from .controller import ControllerParams, _bisect, _down_dwell_bound, control_update
 from .model import Scenario, State, derivatives
 
 __all__ = [
@@ -92,7 +96,8 @@ MAX_STEP_DAYS = 1.0
 # A run that records more switch events than this is reported as chattering.
 MAX_SWITCHES = 1_000_000
 # SimConfig refuses a run longer than this many grid rows (horizon / output_dt)
-# or least solver steps (horizon / MAX_STEP_DAYS): it would never finish.
+# or least solver steps (horizon / MAX_STEP_DAYS), and simulate stops one whose
+# solver accepts more steps than this: either would never finish.
 MAX_STEPS = 1_000_000
 
 
@@ -101,7 +106,7 @@ class IntegrationError(RuntimeError):
 
 
 class ChatteringError(RuntimeError):
-    """Event count exploded or a zero-length phase appeared."""
+    """More than MAX_SWITCHES switch events were recorded."""
 
 
 class PreconditionError(ValueError):
@@ -201,10 +206,14 @@ class SimConfig:
     Samples are taken at every multiple k * output_dt that does not pass the
     horizon, plus the horizon itself when it is not such a multiple.
     open_loop_u, when set, fixes the input to that constant and bypasses
-    the controller entirely. The RK45 step cap MAX_STEP_DAYS, the
+    the controller entirely. event_time_tol may be any positive value: a
+    switch is located to within it, or to adjacent floats when it is below
+    the float spacing there. The RK45 step cap MAX_STEP_DAYS, the
     chattering tripwire MAX_SWITCHES and the run-length cap MAX_STEPS are
     module constants, not settings: horizon / output_dt (the grid rows) and
-    horizon / MAX_STEP_DAYS (the fewest solver steps) must not pass MAX_STEPS.
+    horizon / MAX_STEP_DAYS (the fewest solver steps) must not pass
+    MAX_STEPS, and simulate raises IntegrationError once the solver has
+    accepted more than MAX_STEPS steps in the run.
     """
 
     horizon: float = 1000.0
@@ -348,10 +357,10 @@ def simulate(
 
     Raises:
         PreconditionError: closed-loop start set violated.
-        IntegrationError: the integrator failed inside a phase, or hit a
-            floating-point overflow, invalid operation or division by zero.
-        ChatteringError: more than MAX_SWITCHES events, or an event at
-            a phase start (zero-length phase).
+        IntegrationError: the integrator failed inside a phase, hit a
+            floating-point overflow, invalid operation or division by zero,
+            or accepted more than MAX_STEPS steps over the run.
+        ChatteringError: more than MAX_SWITCHES events.
         ValueError: neither cp nor cfg.open_loop_u provided.
     """
     pm = scenario.params
@@ -396,24 +405,27 @@ def simulate(
     max_is = float(ini.IS0)
     t_cur = 0.0
     steps: list = []  # the dense output of each accepted step of the phase
+    steps_left = MAX_STEPS  # accepted steps the run may still take
 
     while t_cur < cfg.horizon:
         if len(events) > MAX_SWITCHES:
             raise ChatteringError(
                 f"more than {MAX_SWITCHES} switches; chattering or misconfigured thresholds"
             )
-        u_mode = u
 
-        def rhs(t, y, _u=u_mode):
+        def rhs(t, y, _u=u):
             S, I_A, I_S, _, D, psi = y.tolist()
             return derivatives(S, I_A, I_S, D, psi, _u, pm, N)
 
-        def fires(y, _u=u_mode):
+        def fires(y, _u=u):
             # the relay would leave mode _u here (never in open loop)
             return not open_loop and control_update(y[2], _u, cp) != _u
 
         def guard(y, dense):
             steps.append(dense)
+            if len(steps) > steps_left:
+                raise IntegrationError(f"more than MAX_STEPS = {MAX_STEPS} solver steps "
+                                       f"by t = {float(dense.t_old + dense.h)!r}")
             return fires(y)
 
         try:
@@ -434,17 +446,9 @@ def simulate(
         if not hit:
             t_end = cfg.horizon
         else:
-            # bracket [a, b]: not yet crossed at a, crossed at b; shrink to tol
-            a, b = float(sol.t[-2]), float(sol.t[-1])
-            while b - a > cfg.event_time_tol:
-                m = 0.5 * (a + b)
-                if fires(_dense_at(steps[-1], m)):
-                    b = m
-                else:
-                    a = m
-            t_end = b
-            if t_end <= t_cur:
-                raise ChatteringError(f"zero-length phase: event located at t = {t_end!r}")
+            # not yet crossed at the last step's start, crossed at its end
+            _, t_end = _bisect(float(sol.t[-2]), float(sol.t[-1]),
+                               lambda m: fires(_dense_at(steps[-1], m)), cfg.event_time_tol)
 
         # grid rows strictly inside the phase, then the closing row, which
         # also starts the next phase
@@ -454,6 +458,7 @@ def simulate(
         samples.extend(map(State, *ys.tolist(), ts))
         y_end = _dense_at(steps[-1], t_end)
         samples.append(State(*y_end.tolist(), t=t_end))
+        steps_left -= len(steps)
         steps.clear()  # the solver lingers in a reference cycle until a collection
         phase_is = np.concatenate((sol.y[2][sol.t <= t_end], ys[2], y_end[2:3]))
         max_is = max(max_is, float(phase_is.max()))

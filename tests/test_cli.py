@@ -589,6 +589,14 @@ class TestNoTraceback:
             f"{k} = {v!r}\n" for k, v in sim.items() if v is not None)
         self.assert_every_command_ends_in_an_exit_code(write(tmp_path, text))
 
+    @pytest.mark.parametrize("value", SIM_EDGE_VALUES)
+    @pytest.mark.parametrize("name", ["event_time_tol", "atol"])
+    def test_every_tolerance_ends_in_an_exit_code(self, scenario, tmp_path, name, value):
+        # rtol is left out: below 100 * eps scipy warns and raises it
+        text = scenario_file_text(scenario, 10.0, 8.0) + (
+            f"\n[sim]\nhorizon = 30.0\n{name} = {value!r}\n")
+        self.assert_every_command_ends_in_an_exit_code(write(tmp_path, text))
+
     def assert_every_command_ends_in_an_exit_code(self, path):
         for command in self.COMMANDS:
             out, err = io.StringIO(), io.StringIO()

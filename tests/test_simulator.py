@@ -431,6 +431,22 @@ class TestEventEdgeCases:
         with pytest.raises(ChatteringError, match="switches"):
             simulate(scenario, cp8, SimConfig())
 
+    def test_step_budget_trips(self, monkeypatch):
+        # near rho = 1 the system is stiff and takes far more steps than
+        # horizon / MAX_STEP_DAYS, the fewest SimConfig checks
+        monkeypatch.setattr(simulator, "MAX_STEPS", 1000)
+        with pytest.raises(IntegrationError,
+                           match=r"^more than MAX_STEPS = 1000 solver steps by t = "):
+            simulate(make_scenario(rho=0.999999), None, SimConfig(horizon=30.0, open_loop_u=0))
+
+    @pytest.mark.parametrize("tol", [1e-14, 5e-324])
+    def test_tolerance_below_the_float_spacing_ends(self, scenario, cp8, tol):
+        # the switch search stops on adjacent floats whatever the tolerance
+        ref, _ = simulate(scenario, cp8, SimConfig(horizon=200.0))
+        traj, _ = simulate(scenario, cp8, SimConfig(horizon=200.0, event_time_tol=tol))
+        assert [ev.u_new for ev in traj.events] == [ev.u_new for ev in ref.events]
+        assert abs(traj.events[0].t - ref.events[0].t) <= 1e-9
+
 
 class TestInputCost:
     def _traj(self):
