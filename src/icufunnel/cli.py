@@ -187,9 +187,9 @@ def scenario_file_text(
     return text
 
 
-def bundled_scenario_path(name: str = "example_city") -> Path:
-    """Filesystem path of a scenario file shipped with the package."""
-    return Path(str(resources.files("icufunnel") / "scenarios" / f"{name}.ini"))
+def bundled_scenario_path() -> Path:
+    """Filesystem path of the scenario file shipped with the package, the example city."""
+    return Path(str(resources.files("icufunnel") / "scenarios" / "example_city.ini"))
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,8 @@ class ControllerParams:
     eps_minus (the corridor floor is zero). Positivity is enforced here;
     the ordering constraint (off threshold strictly below on threshold) is
     deliberately not, so that a violating pair can still be handed to in_CZ
-    and rejected with a report. Callers feeding control_update must ensure
-    ordering_ok.
+    and rejected with a report. simulate and dwell_lower_bounds refuse an
+    unordered pair (_require_ordered).
     """
 
     eps_plus: float
@@ -104,8 +104,9 @@ class DwellBounds:
     """Closed-form lower bounds on the time between consecutive switches.
 
     down_bound covers the intervention phase (switch-on to switch-off) and
-    is always positive. up_bound covers the relaxed phase and may come out
-    non-positive, in which case it carries no information.
+    is always positive, since dwell_lower_bounds takes ordered pairs only.
+    up_bound covers the relaxed phase and may come out non-positive, in
+    which case it carries no information.
     """
 
     down_bound: float
@@ -469,6 +470,13 @@ def _bisect(lo: float, hi: float, crossed, tol: float = 0.0) -> tuple[float, flo
     return lo, hi
 
 
+def _require_ordered(cp: ControllerParams, error: type[ValueError] = ValueError) -> None:
+    """Raise error unless the off threshold lies strictly below the on threshold."""
+    if not cp.ordering_ok():
+        raise error(f"threshold ordering violated: off threshold {cp.off_threshold()!r} "
+                    f"must be < on threshold {cp.on_threshold()!r}")
+
+
 def _down_dwell_bound(cp: ControllerParams, dc: DerivedConstants) -> float:
     """The down_bound of dwell_lower_bounds, which validate_trajectory checks.
 
@@ -484,15 +492,18 @@ def dwell_lower_bounds(
     """Evaluate the closed-form lower bounds on inter-switch times.
 
     down_bound = (1-rho)/alpha_S * ln((phi_plus - eps_plus)/eps_minus),
-    positive for every ordered pair. up_bound = (1/mu) *
+    positive since the pair must be ordered. up_bound = (1/mu) *
     ln((phi_plus - eps_plus)^2 / (eps_minus^2 + IA_at_switch^2)), where
     IA_at_switch is the mild-case count at the switch-off instant; a
     non-positive value means the bound is uninformative.
 
     Raises:
-        ValueError: IA_at_switch is negative, infinite or nan, or a square
-            in the up bound overflows or its denominator underflows to zero.
+        ValueError: the pair is not ordered (off threshold at or above the
+            on threshold), IA_at_switch is negative, infinite or nan, or a
+            square in the up bound overflows or its denominator underflows
+            to zero.
     """
+    _require_ordered(cp)
     if not 0.0 <= IA_at_switch < math.inf:
         raise ValueError(f"IA_at_switch must be finite and >= 0, got {IA_at_switch!r}")
     gap = cp.on_threshold()

@@ -32,14 +32,15 @@ would pick, and _dense_rows evaluates all steps holding k rows in one
 stacked product. Both give OdeSolution's bits, so every sample and event
 time is the one a scipy call gives. The grid is the multiples of output_dt
 that do not pass the horizon, plus the horizon.
-The RK45 step cap is the module constant MAX_STEP_DAYS, the chattering
-tripwire on the event count is the module constant MAX_SWITCHES, and the
-cap on a run's grid rows and solver steps is the module constant
-MAX_STEPS; none is a setting. SimConfig checks the grid rows and the fewest
-solver steps up front; the guard counts the steps the solver accepts, since
-a stiff system (rho near 1) takes far more than the fewest. Trajectories
-are validated after the fact against the analytically provable path
-properties, each check one mask over the sample columns.
+The RK45 step cap is the module constant MAX_STEP_DAYS and the one
+budget of a run, on its grid rows and its solver steps, is the module
+constant MAX_STEPS; neither is a setting. SimConfig checks the grid rows
+and the fewest solver steps up front; the guard counts the steps the
+solver accepts, since a stiff system (rho near 1) takes far more than the
+fewest. Every phase takes at least one accepted step, so the same budget
+bounds the switch count too: a chattering run ends in IntegrationError.
+Trajectories are validated after the fact against the analytically
+provable path properties, each check one mask over the sample columns.
 
 The right-hand side unpacks each solver stage with one tolist() and passes
 Python floats to model.derivatives: numpy scalar arithmetic costs about
@@ -71,7 +72,9 @@ from operator import attrgetter
 import numpy as np
 
 from .constants import DerivedConstants
-from .controller import ControllerParams, _bisect, _down_dwell_bound, control_update
+from .controller import (
+    ControllerParams, _bisect, _down_dwell_bound, _require_ordered, control_update,
+)
 from .model import Scenario, State, derivatives
 
 __all__ = [
@@ -82,7 +85,6 @@ __all__ = [
     "ValidationCheck",
     "ValidationReport",
     "IntegrationError",
-    "ChatteringError",
     "PreconditionError",
     "simulate",
     "validate_trajectory",
@@ -93,20 +95,15 @@ __all__ = [
 # Caps the RK45 step (days) so solver knots stay dense enough to bracket
 # every guard crossing: the armed guard is only tested at knots.
 MAX_STEP_DAYS = 1.0
-# A run that records more switch events than this is reported as chattering.
-MAX_SWITCHES = 1_000_000
 # SimConfig refuses a run longer than this many grid rows (horizon / output_dt)
 # or least solver steps (horizon / MAX_STEP_DAYS), and simulate stops one whose
-# solver accepts more steps than this: either would never finish.
+# solver accepts more steps than this: either would never finish. Each phase
+# takes at least one step, so this also bounds the switch count.
 MAX_STEPS = 1_000_000
 
 
 class IntegrationError(RuntimeError):
     """The ODE integrator failed inside a mode phase."""
-
-
-class ChatteringError(RuntimeError):
-    """More than MAX_SWITCHES switch events were recorded."""
 
 
 class PreconditionError(ValueError):
@@ -208,12 +205,14 @@ class SimConfig:
     open_loop_u, when set, fixes the input to that constant and bypasses
     the controller entirely. event_time_tol may be any positive value: a
     switch is located to within it, or to adjacent floats when it is below
-    the float spacing there. The RK45 step cap MAX_STEP_DAYS, the
-    chattering tripwire MAX_SWITCHES and the run-length cap MAX_STEPS are
-    module constants, not settings: horizon / output_dt (the grid rows) and
-    horizon / MAX_STEP_DAYS (the fewest solver steps) must not pass
-    MAX_STEPS, and simulate raises IntegrationError once the solver has
-    accepted more than MAX_STEPS steps in the run.
+    the float spacing there. rtol must be at least 100 times the machine
+    epsilon (2.220446049250313e-14), the floor below which scipy would
+    raise it with a warning. The RK45 step cap MAX_STEP_DAYS and the
+    run-length cap MAX_STEPS are module constants, not settings:
+    horizon / output_dt (the grid rows) and horizon / MAX_STEP_DAYS (the
+    fewest solver steps) must not pass MAX_STEPS, and simulate raises
+    IntegrationError once the solver has accepted more than MAX_STEPS steps
+    in the run.
     """
 
     horizon: float = 1000.0
@@ -240,6 +239,9 @@ class SimConfig:
         for name in ("rtol", "atol", "event_time_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if self.rtol < 100 * sys.float_info.epsilon:  # scipy's floor, enforced there by a warning
+            raise ValueError("rtol must be >= 100 * machine epsilon = "
+                             f"{100 * sys.float_info.epsilon!r}, got {self.rtol!r}")
         if self.open_loop_u not in (None, 0, 1):
             raise ValueError(f"open_loop_u must be 0, 1 or None, got {self.open_loop_u!r}")
 
@@ -356,11 +358,11 @@ def simulate(
     set) never read cp.
 
     Raises:
-        PreconditionError: closed-loop start set violated.
+        PreconditionError: unordered pair, or closed-loop start set violated.
         IntegrationError: the integrator failed inside a phase, hit a
             floating-point overflow, invalid operation or division by zero,
-            or accepted more than MAX_STEPS steps over the run.
-        ChatteringError: more than MAX_SWITCHES events.
+            or accepted more than MAX_STEPS steps over the run (so a
+            chattering run ends here too).
         ValueError: neither cp nor cfg.open_loop_u provided.
     """
     pm = scenario.params
@@ -370,11 +372,7 @@ def simulate(
     if not open_loop:
         if cp is None:
             raise ValueError("closed-loop run needs threshold parameters, or set cfg.open_loop_u")
-        if not cp.ordering_ok():
-            raise PreconditionError(
-                "threshold ordering violated: "
-                f"off threshold {cp.off_threshold()!r} must be < on threshold {cp.on_threshold()!r}"
-            )
+        _require_ordered(cp, PreconditionError)
         if ini.IS0 > cp.on_threshold():
             raise PreconditionError(
                 f"I_S(0) = {ini.IS0!r} exceeds the on threshold {cp.on_threshold()!r}"
@@ -408,11 +406,6 @@ def simulate(
     steps_left = MAX_STEPS  # accepted steps the run may still take
 
     while t_cur < cfg.horizon:
-        if len(events) > MAX_SWITCHES:
-            raise ChatteringError(
-                f"more than {MAX_SWITCHES} switches; chattering or misconfigured thresholds"
-            )
-
         def rhs(t, y, _u=u):
             S, I_A, I_S, _, D, psi = y.tolist()
             return derivatives(S, I_A, I_S, D, psi, _u, pm, N)

@@ -257,6 +257,16 @@ class TestDwellCommand:
         assert captured.err.startswith("error: up_bound undefined")
         assert captured.err.count("\n") == 1
 
+    # (30, 20) used to print a negative down_bound, (50, 8) a math domain error
+    @pytest.mark.parametrize("eps_plus, eps_minus, on",
+                             [("30", "20", "14.0"), ("50", "8", "-6.0")])
+    def test_unordered_pair_is_usage_error(self, eps_plus, eps_minus, on, capsys):
+        assert main(["dwell", BUNDLED, "--eps-plus", eps_plus, "--eps-minus", eps_minus]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: threshold ordering violated: off threshold "
+                                f"{float(eps_minus)!r} must be < on threshold {on}\n")
+
 
 class TestFeasibleCommand:
     def test_constructs_admissible_pair(self, capsys):
@@ -590,9 +600,8 @@ class TestNoTraceback:
         self.assert_every_command_ends_in_an_exit_code(write(tmp_path, text))
 
     @pytest.mark.parametrize("value", SIM_EDGE_VALUES)
-    @pytest.mark.parametrize("name", ["event_time_tol", "atol"])
+    @pytest.mark.parametrize("name", ["event_time_tol", "atol", "rtol"])
     def test_every_tolerance_ends_in_an_exit_code(self, scenario, tmp_path, name, value):
-        # rtol is left out: below 100 * eps scipy warns and raises it
         text = scenario_file_text(scenario, 10.0, 8.0) + (
             f"\n[sim]\nhorizon = 30.0\n{name} = {value!r}\n")
         self.assert_every_command_ends_in_an_exit_code(write(tmp_path, text))

@@ -1,6 +1,7 @@
 """Relay law, the growth functional q, pair admissibility, dwell bounds."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -340,4 +341,13 @@ class TestDwellBounds:
         # (phi_plus - eps_plus)**2 overflows a float
         cp = ControllerParams(eps_plus=10.0, eps_minus=8.0, phi_plus=1e200)
         with pytest.raises(ValueError, match="up_bound undefined"):
+            dwell_lower_bounds(cp, dc, 0.0)
+
+    # (30, 20) used to give a negative down_bound, (50, 8) a math domain error
+    @pytest.mark.parametrize("eps_plus, eps_minus, on", [(30.0, 20.0, 14.0), (50.0, 8.0, -6.0)])
+    def test_unordered_pair_rejected(self, dc, eps_plus, eps_minus, on):
+        cp = ControllerParams(eps_plus=eps_plus, eps_minus=eps_minus, phi_plus=dc.phi_plus)
+        with pytest.raises(ValueError, match=re.escape(
+                f"threshold ordering violated: off threshold {eps_minus!r} must be < "
+                f"on threshold {on!r}")):
             dwell_lower_bounds(cp, dc, 0.0)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from icufunnel import (
-    ChatteringError,
     ControllerParams,
     IntegrationError,
     PreconditionError,
@@ -73,6 +72,16 @@ class TestSimConfig:
                 f"run too long: horizon / min(output_dt, MAX_STEP_DAYS) is above "
                 f"MAX_STEPS = {MAX_STEPS}, got horizon {kw['horizon']!r}")):
             SimConfig(**kw)
+
+    @pytest.mark.parametrize("rtol", [1e-20, 5e-324])
+    def test_rejects_rtol_below_the_solver_floor(self, rtol):
+        # below 100 * eps scipy would raise rtol to the floor with a warning
+        with pytest.raises(ValueError, match=re.escape(
+                f"rtol must be >= 100 * machine epsilon = 2.220446049250313e-14, got {rtol!r}")):
+            SimConfig(rtol=rtol)
+
+    def test_accepts_rtol_at_the_solver_floor(self):
+        SimConfig(rtol=2.220446049250313e-14)  # 100 * machine epsilon
 
     def test_accepts_a_run_at_the_step_cap(self):
         SimConfig(horizon=MAX_STEPS * MAX_STEP_DAYS)
@@ -426,9 +435,12 @@ class TestEventEdgeCases:
         assert traj.events and seen
         assert set(seen) == {(float, float, float, float, float, int, type(scenario.params), float)}
 
-    def test_switch_budget_trips(self, scenario, cp8, monkeypatch):
-        monkeypatch.setattr(simulator, "MAX_SWITCHES", 2)
-        with pytest.raises(ChatteringError, match="switches"):
+    def test_closed_loop_step_budget_trips(self, scenario, cp8, monkeypatch):
+        # the one run budget counts steps across phases: this run switches
+        # first near day 15 and runs out of steps near day 915
+        monkeypatch.setattr(simulator, "MAX_STEPS", 1500)
+        with pytest.raises(IntegrationError,
+                           match=r"^more than MAX_STEPS = 1500 solver steps by t = "):
             simulate(scenario, cp8, SimConfig())
 
     def test_step_budget_trips(self, monkeypatch):
