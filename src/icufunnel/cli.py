@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import SweepResult, SweepRow, robustness_probe, sweep_eps_minus
 from .constants import (
     AssumptionReport,
@@ -224,16 +226,15 @@ def run_report_text(report: RunReport) -> str:
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:
-    lines = ["t,S,I_A,I_S,R,D,psi,u"]
-    phases = traj._phases()
-    k = 0
-    for s in traj.samples:
-        # the rows are sorted: the input is the last piece started at or before s.t
-        while k + 1 < len(phases) and phases[k + 1][0] <= s.t:
-            k += 1
-        lines.append(
-            f"{s.t!r},{s.S!r},{s.I_A!r},{s.I_S!r},{s.R!r},{s.D!r},{s.psi!r},{phases[k][2]}"
-        )
+    samples = traj.samples
+    starts, _, us = zip(*traj._phases())
+    # a sample's input is that of the last piece started at or before it;
+    # piece 0 starts at 0, so counting the later starts gives its index
+    inputs = np.array(us)[np.searchsorted(np.array(starts[1:], float), samples.t, side="right")]
+    lines = ["t,S,I_A,I_S,R,D,psi,u"] + [
+        f"{t!r},{S!r},{I_A!r},{I_S!r},{R!r},{D!r},{psi!r},{u}" for t, S, I_A, I_S, R, D, psi, u
+        in zip(samples.t.tolist(), *samples.y.tolist(), inputs.tolist())
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -24,14 +24,14 @@ steps differently.
 
 Each phase is sampled from its steps' dense output, which the guard keeps
 as the solver accepts each step (the interpolant scipy's OdeSolution would
-hold; solve_ivp builds none). The crossing and the closing row (an event or
-the horizon; that state also starts the next phase) lie on the last step,
+hold; solve_ivp builds none). The crossing and the closing sample (an event
+or the horizon; that state also starts the next phase) lie on the last step,
 and _dense_at evaluates them with scipy's scalar arithmetic minus its array
-wrapping. The output-grid rows inside the phase go to the steps OdeSolution
-would pick, and _dense_rows evaluates all steps holding k rows in one
-stacked product. Both give OdeSolution's bits, so every sample and event
-time is the one a scipy call gives. The grid is the multiples of output_dt
-that do not pass the horizon, plus the horizon.
+wrapping. The output-grid samples inside the phase go to the steps
+OdeSolution would pick, and _dense_rows evaluates all steps holding k of
+them in one stacked product. Both give OdeSolution's bits, so every sample
+and event time is the one a scipy call gives. The grid is the multiples of
+output_dt that do not pass the horizon, plus the horizon.
 The RK45 step cap is the module constant MAX_STEP_DAYS and the one
 budget of a run, on its grid rows and its solver steps, is the module
 constant MAX_STEPS; neither is a setting. SimConfig checks the grid rows
@@ -47,8 +47,13 @@ Python floats to model.derivatives: numpy scalar arithmetic costs about
 twice as much, and IEEE + - * / give the same bits on either type, so every
 knot, event and sample is unchanged. A Python float overflows to inf
 without an error, so an overflow inside the right-hand side surfaces in the
-solver's numpy operations, which run under np.errstate and raise. Grid rows
-are built from the columns of one array, one tolist() each.
+solver's numpy operations, which run under np.errstate and raise.
+
+A run's samples are stored as columns, never as rows: simulate keeps each
+phase's (6, k) block from _dense_rows and its closing column, and joins
+them once at the end into a _Samples(t, y). validate_trajectory masks those
+columns and the CLI's CSV writer reads them; a State row is built only for
+a reader who indexes or iterates Trajectory.samples.
 
 scipy is imported on the first solve, not with the package: the certifying
 commands never integrate, and importing scipy.integrate costs most of the
@@ -62,12 +67,13 @@ the one it calls.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import pairwise
-from operator import attrgetter
 
 import numpy as np
 
@@ -254,23 +260,75 @@ class SwitchEvent:
     u_new: int
 
 
+class _Samples(Sequence):
+    """A run's samples as columns, read as a sequence of State rows.
+
+    t is the (n,) array of sample times and y the (6, n) array of states in
+    the order S, I_A, I_S, R, D, psi, both float64 and read-only. An int
+    index (negative too) builds one State, a slice a tuple of States, and
+    iteration yields States: rows exist only for a reader who asks for them.
+    Equality compares the columns, the hash agrees with it (0.0 and -0.0
+    alike), and repr is that of the tuple of rows.
+    """
+
+    __slots__ = ("t", "y")
+
+    def __init__(self, t: np.ndarray, y: np.ndarray) -> None:
+        t.flags.writeable = y.flags.writeable = False
+        self.t, self.y = t, y
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(_Samples(self.t[key], self.y[:, key]))
+        i = operator.index(key)
+        return State(*self.y[:, i].tolist(), self.t[i].item())
+
+    def __iter__(self):
+        for *y, t in zip(*self.y.tolist(), self.t.tolist()):
+            yield State(*y, t)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, _Samples) and np.array_equal(self.t, other.t)
+                and np.array_equal(self.y, other.y))
+
+    def __hash__(self) -> int:
+        # adding 0.0 turns -0.0 into 0.0, which == already equates
+        return hash(((self.t + 0.0).tobytes(), (self.y + 0.0).tobytes()))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled solution plus the exact switching record.
 
     samples hold the state at every output-grid multiple and at every event
-    instant, strictly increasing in time, ending at the horizon. u0 is the
-    input value before the first event (always 0 for closed-loop runs); the
-    full input path is piecewise constant and right-continuous.
+    instant, strictly increasing in time, ending at the horizon. They are
+    stored as columns (samples.t and samples.y, see _Samples) and read as a
+    sequence of State rows. A tuple or list of States given here, as a
+    hand-made trajectory or dataclasses.replace passes it, is stacked into
+    columns once; every value is stored as float64, so an int field reads
+    back, prints and is written to the CSV as a float. u0 is the input value
+    before the first event (always 0 for closed-loop runs); the full input
+    path is piecewise constant and right-continuous.
     """
 
-    samples: tuple[State, ...]
+    samples: Sequence[State]
     events: tuple[SwitchEvent, ...]
     u0: int
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.samples, _Samples):  # State rows, stacked once
+            cols = np.array([(s.t, *s.as_tuple()) for s in self.samples], float).reshape(-1, 7).T
+            object.__setattr__(self, "samples", _Samples(cols[0], cols[1:]))
+
     @property
     def horizon(self) -> float:
-        return self.samples[-1].t
+        return self.samples.t[-1].item()
 
     def u_at(self, t: float) -> int:
         """Input value at time t (right-continuous)."""
@@ -394,12 +452,13 @@ def simulate(
             events.append(SwitchEvent(t=0.0, u_new=1))
 
     n_whole = int(math.floor(cfg.horizon / cfg.output_dt + 1e-12))
-    grid = [t for t in (k * cfg.output_dt for k in range(n_whole + 1)) if t < cfg.horizon]
-    grid.append(cfg.horizon)
+    grid = np.arange(n_whole + 1) * cfg.output_dt
+    grid = np.append(grid[grid < cfg.horizon], cfg.horizon)
 
     y_cur = np.array([ini.S0, ini.IA0, ini.IS0, ini.R0, ini.D0, ini.psi0], dtype=float)
-    samples: list[State] = [State(*y_cur.tolist(), t=0.0)]
-    gi = 1  # grid[0] = 0 is covered by the initial row
+    t_blocks: list = [[0.0]]  # the sample columns, one block per piece
+    y_blocks: list = [y_cur[:, None]]
+    gi = 1  # grid[0] = 0 is covered by the initial column
     max_is = float(ini.IS0)
     t_cur = 0.0
     steps: list = []  # the dense output of each accepted step of the phase
@@ -443,34 +502,35 @@ def simulate(
             _, t_end = _bisect(float(sol.t[-2]), float(sol.t[-1]),
                                lambda m: fires(_dense_at(steps[-1], m)), cfg.event_time_tol)
 
-        # grid rows strictly inside the phase, then the closing row, which
-        # also starts the next phase
+        # grid columns strictly inside the phase, then the closing column,
+        # which also starts the next phase
         gj = bisect_left(grid, t_end, gi)
         ts = grid[gi:gj]
-        ys = _dense_rows(steps, sol.t, np.array(ts))
-        samples.extend(map(State, *ys.tolist(), ts))
+        ys = _dense_rows(steps, sol.t, ts)
         y_end = _dense_at(steps[-1], t_end)
-        samples.append(State(*y_end.tolist(), t=t_end))
+        t_blocks += (ts, [t_end])
+        y_blocks += (ys, y_end[:, None])
         steps_left -= len(steps)
         steps.clear()  # the solver lingers in a reference cycle until a collection
         phase_is = np.concatenate((sol.y[2][sol.t <= t_end], ys[2], y_end[2:3]))
         max_is = max(max_is, float(phase_is.max()))
         if not hit:
             break
-        gi = bisect_right(grid, t_end, gj)  # the closing row takes an equal grid row's place
+        gi = bisect_right(grid, t_end, gj)  # the closing column takes an equal grid time's place
         u = 1 - u
         events.append(SwitchEvent(t=t_end, u_new=u))
         y_cur = y_end
         t_cur = t_end
 
-    traj = Trajectory(samples=tuple(samples), events=tuple(events), u0=u0)
+    samples = _Samples(np.concatenate(t_blocks), np.concatenate(y_blocks, axis=1))
+    traj = Trajectory(samples=samples, events=tuple(events), u0=u0)
 
     phases = traj._phases()
     pandemic_end = max((start for start, _, u in phases if u == 0), default=0.0)
     threshold = scenario.capacity.phi_plus() if open_loop else cp.on_threshold()
     report = RunReport(
-        D_max=samples[-1].D,
-        total_infected_proxy=N - ini.R0 - samples[-1].S,
+        D_max=y_end[4].item(),
+        total_infected_proxy=N - ini.R0 - y_end[0].item(),
         input_cost=input_cost(traj, cfg.horizon),
         switch_count=len(events),
         # the pieces between two events: the first starts at 0, the last ends at the horizon
@@ -478,7 +538,7 @@ def simulate(
         pandemic_end=pandemic_end,
         max_IS=max_is,
         icu_bound_satisfied=max_is < scenario.capacity.phi_plus(),
-        pandemic_over=all(s.I_S < threshold for s in samples if s.t >= pandemic_end),
+        pandemic_over=bool(np.all(samples.y[2][samples.t >= pandemic_end] < threshold)),
     )
     return traj, report
 
@@ -561,14 +621,20 @@ def validate_trajectory(
       h) each completed input-1 phase lasts >= the closed-form lower bound
          minus event_time_tol                 (closed loop only)
 
-    Always returns a report; each failed check lists (time, magnitude).
+    Each check is one mask over the sample columns; no State row is built.
+    Returns a report, in which each failed check lists (time, magnitude).
+
+    Raises:
+        ValueError: cp is an unordered pair (controller._require_ordered),
+            for which check h's dwell bound is negative or undefined.
     """
+    if cp is not None:
+        _require_ordered(cp)
     pm = scenario.params
     total = scenario.population()
     tol_c = 1e-6 * total if tol_compartment is None else tol_compartment
-    psi0 = traj.samples[0].psi
-    t, S, I_A, I_S, R, D, psi = np.array(
-        list(map(attrgetter("t", "S", "I_A", "I_S", "R", "D", "psi"), traj.samples))).T
+    t, (S, I_A, I_S, R, D, psi) = traj.samples.t, traj.samples.y
+    psi0 = float(psi[0])
     checks: list[ValidationCheck] = []
 
     def over(defect, tol: float = tol_c, strict: bool = True) -> list[tuple[float, float]]:
