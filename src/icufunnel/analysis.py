@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .constants import _derive, _sigma_rob_conditions, check_sigma_rob, derive_constants
-from .controller import ControllerParams, _cz_conditions, in_CZ
+from .controller import ControllerParams, _bisect, _cz_conditions, in_CZ
 # not called here; they stay bound because the benchmark tracer hooks
 # analysis.q_eval and analysis.q_monotonicity_check
 from .controller import q_eval, q_monotonicity_check  # noqa: F401
@@ -42,9 +42,6 @@ _PROBE_KEYS = (
     "gamma_0", "gamma_1", "psi_bar", "gamma_K",
     "xi", "n_icu", "S0", "IA0", "IS0", "R0", "D0", "psi0",
 )
-# Bisection steps on the probe radius: certified_delta is within
-# delta / 2**20 of the largest radius where every sample passes.
-_PROBE_BISECT_DEPTH = 20
 # The most perturbed scenarios robustness_probe may draw; a far larger count
 # would exhaust memory. Not a setting.
 MAX_SAMPLES = 100_000
@@ -132,8 +129,10 @@ def robustness_probe(
     zeros, clipped into the range table model._RANGES), and requires each
     perturbed scenario to be valid (model._batch), robust-admissible and
     to admit the FIXED pair cp. All samples at one radius are derived and
-    checked in one array pass. certified_delta is found by bisection over
-    the radius with all-samples-pass as the predicate. Bisection assumes
+    checked in one array pass. certified_delta is found by
+    controller._bisect over [0, delta] with all-samples-pass as the
+    predicate, stopped after exactly 20 halvings, so it lies within
+    delta / 2**20 of where the predicate turns. Bisection assumes
     that predicate is monotone in the radius, which nothing guarantees: it
     returns a radius where every sample passes, not the largest one.
     Reusing the same directions at every radius makes the result
@@ -164,19 +163,10 @@ def robustness_probe(
         return _passes(_perturbed(x0, directions, radius), cp)
 
     pass_fraction = int(np.count_nonzero(passes(delta))) / samples
-    if pass_fraction == 1.0:
-        certified = delta
-    else:
-        lo, hi = 0.0, delta  # zero radius reproduces the nominal, which passes
-        # a fixed depth, not controller._bisect's width rule: rounded midpoints
-        # leave the width just above delta / 2**20 about half the time
-        for _ in range(_PROBE_BISECT_DEPTH):
-            mid = 0.5 * (lo + hi)
-            if passes(mid).all():
-                lo = mid
-            else:
-                hi = mid
-        certified = lo
+    # zero radius reproduces the nominal, which passes; a tolerance between the
+    # widths after 19 and 20 halvings stops _bisect after exactly 20 of them
+    certified = delta if pass_fraction == 1.0 else _bisect(
+        0.0, delta, lambda r: not passes(r).all(), delta * 2**-19.5)[0]
 
     return RobustnessResult(
         delta=delta, samples=samples, pass_fraction=pass_fraction, certified_delta=certified,

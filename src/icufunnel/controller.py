@@ -457,7 +457,8 @@ def _bisect(lo: float, hi: float, crossed, tol: float = 0.0) -> tuple[float, flo
     Halves while hi - lo > tol and a midpoint lies strictly between the ends,
     moving hi to the midpoint where crossed holds and lo otherwise; so it
     stops on adjacent floats whatever tol is. Shared by the switch search of
-    simulate and by find_max_slack_eps.
+    simulate, by find_max_slack_eps and by the certified radius of
+    analysis.robustness_probe.
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

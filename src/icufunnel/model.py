@@ -136,7 +136,8 @@ class CapacityPolicy(_Coordinates):
 class Scenario:
     """A complete problem instance: parameters, initial data, capacity.
 
-    The total initial population must be positive and finite.
+    The total initial population N must be positive and finite, and the
+    living population N - D0 positive.
     """
 
     params: EpidemicParams
@@ -145,6 +146,8 @@ class Scenario:
 
     def __post_init__(self) -> None:
         _require_positive_finite("total initial population", self.population())
+        if not self.population() - self.init.D0 > 0.0:
+            raise ValueError("living population N - D0 must be > 0")
 
     def population(self) -> float:
         """Conserved total N = S0 + IA0 + IS0 + R0 + D0."""
@@ -229,15 +232,17 @@ def _batch(x: np.ndarray, keys: tuple[str, ...]) -> tuple[SimpleNamespace, np.nd
 
     x holds one scenario per row, its columns named by keys. A row is
     accepted when every coordinate is finite and inside its _RANGES range,
-    and the capacity bound (1 + xi) * n_icu and the population are > 0 and
-    finite, as in _require_positive_finite. The ranges are checked in one
-    array expression over x.
+    the capacity bound (1 + xi) * n_icu and the population are > 0 and
+    finite, as in _require_positive_finite, and the living population
+    N - D0 is > 0, as in Scenario.__post_init__. The ranges are checked in
+    one array expression over x.
     """
     lo, hi, _ = _column_ranges(keys)
     sc = _columns(dict(zip(keys, x.T)))
     phi, n = CapacityPolicy.phi_plus(sc.capacity), Scenario.population(sc)
     return sc, (((x >= lo) & (x <= hi)).all(axis=1)
-                & (phi > 0.0) & (phi < math.inf) & (n > 0.0) & (n < math.inf))
+                & (phi > 0.0) & (phi < math.inf) & (n > 0.0) & (n < math.inf)
+                & (n - sc.init.D0 > 0.0))
 
 
 @dataclass(frozen=True, slots=True)

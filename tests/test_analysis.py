@@ -111,6 +111,14 @@ class TestProbeValidation:
         assert analysis._passes(x[np.newaxis], city_pair).tolist() == [False]
         assert _scalar_verdict(x, city_pair) is False
 
+    def test_dead_living_population_counts_as_failed(self, scenario, city_pair):
+        # N rounds to D0, so N - D0 is 0, which Scenario rejects
+        values = {**scenario.values(), "S0": 0.0, "IA0": 0.0, "IS0": 0.0,
+                  "R0": 3.4e-47, "D0": 1.0}
+        x = np.array([values[k] for k in analysis._PROBE_KEYS])
+        assert analysis._passes(x[np.newaxis], city_pair).tolist() == [False]
+        assert _scalar_verdict(x, city_pair) is False
+
 
 def _scalar_verdict(x, cp):
     """One probe sample through the public scalar functions."""
@@ -269,6 +277,28 @@ class TestProbeInterior:
         assert res.certified_delta == pytest.approx(7.3434925079345705e-06,
                                                     rel=1e-9)
         assert 0.0 < res.certified_delta < res.delta
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("delta", [1e-5, 3e-5, 1e-4, 1e-3])
+    def test_certified_delta_is_twenty_halvings(self, interior, delta, seed):
+        # the probe's bisection, written out: 20 halvings of [0, delta] on
+        # the same directions, bit for bit
+        sc, _, cp = interior
+        res = robustness_probe(sc, cp, delta=delta, samples=64, seed=seed)
+        if res.pass_fraction == 1.0:
+            assert res.certified_delta == delta
+            return
+        directions = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(64, 18))
+        values = sc.values()
+        x0 = np.array([values[k] for k in analysis._PROBE_KEYS])
+        lo, hi = 0.0, delta
+        for _ in range(20):
+            mid = 0.5 * (lo + hi)
+            if analysis._passes(analysis._perturbed(x0, directions, mid), cp).all():
+                lo = mid
+            else:
+                hi = mid
+        assert res.certified_delta == lo
 
 
 class TestQMonotonicity:

@@ -40,6 +40,47 @@ def pair8(dc):
     return ControllerParams(eps_plus=10.0, eps_minus=8.0, phi_plus=dc.phi_plus)
 
 
+# finite bracket ends, subnormals included, whose sum and difference stay finite
+_BRACKET_END = st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True)
+
+
+class TestBisect:
+    @settings(max_examples=300, deadline=None)
+    @given(ends=st.lists(_BRACKET_END, min_size=2, max_size=2, unique=True),
+           threshold=st.floats(allow_nan=False),
+           tol=st.one_of(st.just(0.0), st.just(5e-324), st.floats(min_value=0.0)))
+    def test_brackets_the_crossing(self, ends, threshold, tol):
+        lo, hi = sorted(ends)
+        calls = []
+
+        def crossed(t):
+            calls.append(t)
+            # one halving per call: 2**997 wide down to 2**-1074 is 2,071
+            assert len(calls) <= 2100
+            return t >= threshold
+
+        a, b = controller._bisect(lo, hi, crossed, tol)
+        assert lo <= a < b <= hi
+        assert b - a <= tol or math.nextafter(a, math.inf) == b
+        assert a == lo or not crossed(a)
+        assert b == hi or crossed(b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(delta=st.floats(min_value=2.0**-1000, max_value=2.0**1000),
+           answers=st.lists(st.booleans(), min_size=21, max_size=21))
+    def test_probe_tolerance_takes_twenty_halvings(self, delta, answers):
+        # the tolerance robustness_probe passes, whatever the predicate says
+        replies = iter(answers)
+        calls = []
+
+        def crossed(t):
+            calls.append(t)
+            return next(replies)
+
+        controller._bisect(0.0, delta, crossed, delta * 2**-19.5)
+        assert len(calls) == 20
+
+
 class TestControllerParams:
     @pytest.mark.parametrize("kw", [
         dict(eps_plus=0.0, eps_minus=8.0, phi_plus=44.0),

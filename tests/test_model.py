@@ -103,6 +103,12 @@ class TestScenario:
         with pytest.raises(ValueError, match="population must be finite"):
             make_scenario(S0=1e308, R0=1e308)
 
+    def test_dead_living_population_rejected(self):
+        # N = 3.4e-47 + 1 rounds to 1, so N - D0 is 0 although R0 > 0, and
+        # the right-hand side would fail on it at t = 0
+        with pytest.raises(ValueError, match=r"^living population N - D0 must be > 0$"):
+            make_scenario(S0=0.0, IA0=0.0, IS0=0.0, R0=3.4e-47, D0=1.0)
+
     def test_values_round_trip(self):
         sc = make_scenario(D0=5.0, psi0=0.9, xi=0.25)
         assert tuple(sc.values()) == SCENARIO_KEYS

@@ -7,11 +7,17 @@ Usage, from anywhere in a git checkout:
 The parent revision (``--parent``, default HEAD) is extracted with ``git
 archive`` into a temporary directory, as ``tools/bench_pairs.py`` does. Each
 side then runs in its own child interpreter, importing ``icufunnel`` and
-``perfbench.workloads`` from its own tree. For every ``closed_loop`` and
-``open_loop_fine`` input of perfbench seeds 1-3, the child runs the
-workload's operation (simulate, validate, render the three CLI texts) and
-hashes the sample rows ``(s.t, *s.as_tuple())``, the events, the
-``RunReport`` and ``ValidationReport`` reprs and the three texts.
+``perfbench.workloads`` from its own tree, and hashes every input of
+perfbench seeds 1-3:
+
+* ``closed_loop`` and ``open_loop_fine``: the child runs the workload's
+  operation (simulate, validate, render the three CLI texts) and hashes the
+  sample rows ``(s.t, *s.as_tuple())``, the events, the ``RunReport`` and
+  ``ValidationReport`` reprs and the three texts;
+* ``certify``: the child runs ``workloads.certify_op`` and hashes the reprs
+  of what it returns (constants, ``in_sigma_rob``, pair, ``in_CZ`` report,
+  error). It also hashes the ``RobustnessResult`` of the probe that
+  ``certify_op`` runs and discards, so a change to the probe shows.
 
 Prints one sha256 digest per workload per side, and exits 1 when any
 workload's digests differ. Standard library only in this process.
@@ -32,18 +38,29 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, extract, git  # noqa: E402
 
 SEEDS = (1, 2, 3)
-WORKLOADS = ("closed_loop", "open_loop_fine")
+WORKLOADS = ("closed_loop", "open_loop_fine", "certify")
 
 
 def side_digests() -> dict[str, str]:
     """Run in a child: one digest per workload, from the trees on sys.path."""
+    from icufunnel import analysis
     from perfbench import workloads
 
     out = {}
     for name in WORKLOADS:
         h = hashlib.sha256()
         for seed in SEEDS:
-            for case in workloads.sim_cases(name, workloads.generate(name, seed)):
+            inputs = workloads.generate(name, seed)
+            if name == "certify":
+                for sc in workloads.certify_cases(inputs):
+                    res = workloads.certify_op(sc)
+                    parts = [res.dc, res.in_sigma_rob, res.cp, res.cz, repr(res.error)]
+                    if res.cp is not None and res.error is None:
+                        # the arguments certify_op passes
+                        parts.append(analysis.robustness_probe(sc, res.cp, delta=1e-3, samples=256))
+                    h.update(repr(parts).encode())
+                continue
+            for case in workloads.sim_cases(name, inputs):
                 traj, report, validation, texts = workloads.sim_op(case)
                 for part in ([(s.t, *s.as_tuple()) for s in traj.samples], traj.events,
                              report, validation):
