@@ -4,15 +4,17 @@ Between switches the dynamics are a smooth ODE in one of two input modes, so
 each mode phase is integrated with an adaptive RK45 pair and dense output.
 Only one guard is armed per mode: the on threshold (phi_plus - eps_plus)
 while relaxed, the off threshold (eps_minus) while intervening.
-Each phase's solve stops at the first accepted solver knot where the armed
-guard fires; the crossing between that knot and the one before is located
-by controller._bisect on the dense output, to within event_time_tol or to
-adjacent floats, whichever comes first (so any positive tolerance ends);
-the phase is truncated at the bracket's crossed end, the mode flips, and
-integration restarts. Step sizes are chosen against the horizon as the
-solver's end point, so the knots are those of a solve to the horizon, cut
-at the guard. Open-loop runs fix the input and arm no guard,
-so their one solve reaches the horizon.
+Each phase's solve stops at the first accepted step on which the armed
+guard fires: at its knot, or inside it, where its I_S interpolant
+reaches the threshold at an extremum (_inner_crossing). The first
+crossing, between the step's start and the first such extremum or else
+the knot, is located by controller._bisect on the dense output, to within
+event_time_tol or to adjacent floats, whichever comes first (so any
+positive tolerance ends); the phase is truncated at the bracket's crossed
+end, the mode flips, and integration restarts. Step sizes are chosen
+against the horizon as the solver's end point, so the knots are those of
+a solve to the horizon, cut at the guard. Open-loop runs fix the input
+and arm no guard, so their one solve reaches the horizon.
 
 solve_ivp drives each phase, and the RK45 subclass _StopAtGuard takes its
 steps with its own copy of scipy 1.17.1's RungeKutta._step_impl, which
@@ -32,13 +34,15 @@ OdeSolution would pick, and _dense_rows evaluates all steps holding k of
 them in one stacked product. Both give OdeSolution's bits, so every sample
 and event time is the one a scipy call gives. The grid is the multiples of
 output_dt that do not pass the horizon, plus the horizon.
-The RK45 step cap is the module constant MAX_STEP_DAYS and the one
-budget of a run, on its grid rows and its solver steps, is the module
-constant MAX_STEPS; neither is a setting. SimConfig checks the grid rows
-and the fewest solver steps up front; the guard counts the steps the
-solver accepts, since a stiff system (rho near 1) takes far more than the
-fewest. Every phase takes at least one accepted step, so the same budget
-bounds the switch count too: a chattering run ends in IntegrationError.
+RK45 chooses its step sizes with no cap: the guard reads the whole of each
+step's interpolant, so no crossing hides between two knots however far
+apart they are. The one budget of a run, on its grid rows and its solver
+steps, is the module constant MAX_STEPS, not a setting. SimConfig checks
+the grid rows and the horizon in days up front; the guard counts the
+steps the solver accepts, since a stiff system (rho near 1) takes far
+more steps than days. Every phase takes at least one accepted step, so
+the same budget bounds the switch count too: a chattering run ends in
+IntegrationError.
 Trajectories are validated after the fact against the analytically
 provable path properties, each check one mask over the sample columns.
 
@@ -98,13 +102,10 @@ __all__ = [
 ]
 
 
-# Caps the RK45 step (days) so solver knots stay dense enough to bracket
-# every guard crossing: the armed guard is only tested at knots.
-MAX_STEP_DAYS = 1.0
-# SimConfig refuses a run longer than this many grid rows (horizon / output_dt)
-# or least solver steps (horizon / MAX_STEP_DAYS), and simulate stops one whose
-# solver accepts more steps than this: either would never finish. Each phase
-# takes at least one step, so this also bounds the switch count.
+# The one budget of a run: SimConfig refuses more grid rows (horizon / output_dt)
+# or days (horizon) than this, and simulate stops a run whose solver accepts
+# more steps than this. Each phase takes at least one step, so this also
+# bounds the switch count.
 MAX_STEPS = 1_000_000
 
 
@@ -128,7 +129,7 @@ def __getattr__(name: str):
     from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 
     class _StopAtGuard(RK45):
-        """RK45 that finishes at the first accepted knot where guard holds.
+        """RK45 that finishes at the first accepted step for which guard holds.
 
         guard(y, dense) gets each accepted step's new state and its dense
         output, a _Step holding what scipy's RkDenseOutput would (the
@@ -213,12 +214,13 @@ class SimConfig:
     switch is located to within it, or to adjacent floats when it is below
     the float spacing there. rtol must be at least 100 times the machine
     epsilon (2.220446049250313e-14), the floor below which scipy would
-    raise it with a warning. The RK45 step cap MAX_STEP_DAYS and the
-    run-length cap MAX_STEPS are module constants, not settings:
-    horizon / output_dt (the grid rows) and horizon / MAX_STEP_DAYS (the
-    fewest solver steps) must not pass MAX_STEPS, and simulate raises
-    IntegrationError once the solver has accepted more than MAX_STEPS steps
-    in the run.
+    raise it with a warning. The run-length cap MAX_STEPS is a module
+    constant, not a setting: horizon / output_dt (the grid rows) and the
+    horizon in days must not pass it, and simulate raises IntegrationError
+    once the solver has accepted more than MAX_STEPS steps in the run. The
+    solver chooses its step sizes with no cap, yet a horizon of 1e300 days
+    with one grid row would still grind through the whole step budget,
+    hence the rule on days.
     """
 
     horizon: float = 1000.0
@@ -238,9 +240,9 @@ class SimConfig:
         if self.horizon / self.output_dt == math.inf:
             raise ValueError(
                 f"output_dt too small: horizon / output_dt overflows, got {self.output_dt!r}")
-        if self.horizon / min(self.output_dt, MAX_STEP_DAYS) > MAX_STEPS:
+        if max(self.horizon, self.horizon / self.output_dt) > MAX_STEPS:
             raise ValueError(
-                f"run too long: horizon / min(output_dt, MAX_STEP_DAYS) is above MAX_STEPS = "
+                f"run too long: max(horizon, horizon / output_dt) is above MAX_STEPS = "
                 f"{MAX_STEPS}, got horizon {self.horizon!r}, output_dt {self.output_dt!r}")
         for name in ("rtol", "atol", "event_time_tol"):
             if not getattr(self, name) > 0.0:
@@ -461,6 +463,7 @@ def simulate(
     gi = 1  # grid[0] = 0 is covered by the initial column
     max_is = float(ini.IS0)
     t_cur = 0.0
+    t_inner = None  # where the guard's last step crosses inside, if it does
     steps: list = []  # the dense output of each accepted step of the phase
     steps_left = MAX_STEPS  # accepted steps the run may still take
 
@@ -474,32 +477,36 @@ def simulate(
             return not open_loop and control_update(y[2], _u, cp) != _u
 
         def guard(y, dense):
+            nonlocal t_inner
             steps.append(dense)
             if len(steps) > steps_left:
                 raise IntegrationError(f"more than MAX_STEPS = {MAX_STEPS} solver steps "
                                        f"by t = {float(dense.t_old + dense.h)!r}")
-            return fires(y)
+            at_knot = fires(y)
+            t_inner = None if open_loop else _inner_crossing(dense, at_knot, u, cp)
+            return at_knot or t_inner is not None
 
         try:
             # an overflow or nan would otherwise only warn, and RK45 keeps stepping on nan
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 sol = this.solve_ivp(
                     rhs, (t_cur, cfg.horizon), y_cur, method=this._StopAtGuard, guard=guard,
-                    rtol=cfg.rtol, atol=cfg.atol, max_step=MAX_STEP_DAYS,
+                    rtol=cfg.rtol, atol=cfg.atol,
                 )
         except FloatingPointError as exc:
             raise IntegrationError(f"floating-point error after t = {t_cur!r}: {exc}") from exc
         if not sol.success:
             raise IntegrationError(f"integrator failed near t = {sol.t[-1]!r}: {sol.message}")
 
-        # the solve ends at the first knot where the guard fires, or else at
-        # the horizon, where the guard may fire too; either way on the last step
-        hit = fires(sol.y[:, -1])
+        # the solve ends at the first step on which the guard fires, or else
+        # at the horizon, where the guard may fire too; either way on the last step
+        hit = t_inner is not None or fires(sol.y[:, -1])
         if not hit:
             t_end = cfg.horizon
         else:
-            # not yet crossed at the last step's start, crossed at its end
-            _, t_end = _bisect(float(sol.t[-2]), float(sol.t[-1]),
+            # not yet crossed at the last step's start, crossed at its first crossing
+            # extremum or else at its end, with one crossing between
+            _, t_end = _bisect(float(sol.t[-2]), float(sol.t[-1]) if t_inner is None else t_inner,
                                lambda m: fires(_dense_at(steps[-1], m)), cfg.event_time_tol)
 
         # grid columns strictly inside the phase, then the closing column,
@@ -560,6 +567,63 @@ def _dense_at(dense, t: float) -> np.ndarray:
     x2 = x * x
     x3 = x2 * x
     return h * np.dot(dense.Q, np.array((x, x2, x3, x3 * x))) + dense.y_old
+
+
+def _inner_crossing(dense, at_knot: bool, u: int, cp: ControllerParams) -> float | None:
+    """The first extremum inside one RK45 step where the relay leaves mode u, or None.
+
+    On the step, I_S = y_old[2] + h * (a1 x + a2 x**2 + a3 x**3 + a4 x**4)
+    for x = (t - t_old) / h in [0, 1], with (a1, a2, a3, a4) = Q[2]. The
+    armed threshold is the on threshold while relaxed (u = 0, reached from
+    below) and the off threshold while intervening (u = 1, from above).
+    The polynomial's degree-4 Bernstein coefficients bound it on [0, 1],
+    and their differences bound its slope. Two cheap filters skip the root
+    solve of _extremum_crossing, each widened by far more than the rounding
+    of _dense_at, that of x included, so it may let a step through but
+    never drops one that needs it:
+    - at_knot false (the knot does not fire): the hull stays clear of the
+      threshold, so no time in the step reaches it;
+    - at_knot true: the slope keeps one sign, so the crossed times are one
+      interval ending at the knot and the whole step may be bisected.
+    On the benchmark inputs every step is skipped by one of the two.
+    """
+    a1, a2, a3, a4 = dense.Q[2].tolist()
+    h, t_old, y0 = float(dense.h), float(dense.t_old), float(dense.y_old[2])
+    hull = (0.0, a1 / 4, a1 / 2 + a2 / 6, 0.75 * a1 + a2 / 2 + a3 / 4, a1 + a2 + a3 + a4)
+    size = abs(a1) + abs(a2) + abs(a3) + abs(a4)
+    if at_knot:
+        slope = [b - a for a, b in zip(hull, hull[1:])]
+        if min(slope) > 1e-12 * size or max(slope) < -1e-12 * size:
+            return None
+    else:
+        slack = 1e-12 * (abs(y0) + (abs(t_old) + h) * size)
+        if (y0 + h * max(hull) + slack < cp.on_threshold() if u == 0
+                else y0 + h * min(hull) - slack > cp.off_threshold()):
+            return None
+    return _extremum_crossing(dense, u, cp)
+
+
+def _extremum_crossing(dense, u: int, cp: ControllerParams) -> float | None:
+    """The first extremum inside one RK45 step where the relay leaves mode u, or None.
+
+    The extrema of the step's I_S interpolant (see _inner_crossing) are
+    the roots of its derivative cubic. Each root with real part x in
+    (0, 1), in order, is tried at t = t_old + x * h with _dense_at (the real
+    part of a complex pair too: a near-double root may come out complex),
+    and the first where the relay leaves mode u is returned. Every extremum
+    before it stays clear, so from the step's start to it the crossed times
+    are one interval, which controller._bisect searches; with None, so are
+    they up to the knot. The knot itself is not tried: simulate tests the
+    solver's own state there.
+    """
+    a1, a2, a3, a4 = dense.Q[2].tolist()
+    h, t_old = float(dense.h), float(dense.t_old)
+    roots = np.roots((4 * a4, 3 * a3, 2 * a2, a1)).tolist()
+    for x in sorted(r.real for r in roots if 0.0 < r.real < 1.0):
+        t = t_old + x * h
+        if control_update(float(_dense_at(dense, t)[2]), u, cp) != u:
+            return t
+    return None
 
 
 def _dense_rows(steps: list, knots: np.ndarray, ts: np.ndarray) -> np.ndarray:

@@ -520,8 +520,8 @@ down_bound = 14.469189829363254
 up_bound = 6.066746259691092
 """,
     "simulate": """\
-D_max = 11.387936067113136
-total_infected_proxy = 5876.593394818818
+D_max = 11.38793606713242
+total_infected_proxy = 5876.593394761425
 input_cost = 14.777301047545077
 switch_count = 1
 min_observed_dwell = inf

@@ -8,6 +8,8 @@ enough to survive solver version drift.
 import dataclasses
 import math
 import re
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,9 +32,10 @@ from icufunnel import (
     validate_trajectory,
 )
 from icufunnel import simulator
+from icufunnel.controller import _bisect
 from icufunnel.cli import events_csv_text, run_report_text, trajectory_csv_text
 from icufunnel.model import _RANGES
-from icufunnel.simulator import MAX_STEP_DAYS, MAX_STEPS
+from icufunnel.simulator import MAX_STEPS
 from test_model import make_scenario
 
 
@@ -64,13 +67,13 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("kw", [
         dict(horizon=1e300),
-        dict(horizon=2.0 * MAX_STEPS * MAX_STEP_DAYS, output_dt=2.0 * MAX_STEPS * MAX_STEP_DAYS),
+        dict(horizon=2.0 * MAX_STEPS, output_dt=2.0 * MAX_STEPS),
         dict(horizon=1000.0, output_dt=1000.0 / (2.0 * MAX_STEPS)),
     ], ids=["huge_horizon", "huge_horizon_one_row", "tiny_output_dt"])
     def test_rejects_a_run_that_never_finishes(self, kw):
-        # more than MAX_STEPS grid rows or fewest solver steps
+        # more than MAX_STEPS grid rows or days
         with pytest.raises(ValueError, match=re.escape(
-                f"run too long: horizon / min(output_dt, MAX_STEP_DAYS) is above "
+                f"run too long: max(horizon, horizon / output_dt) is above "
                 f"MAX_STEPS = {MAX_STEPS}, got horizon {kw['horizon']!r}")):
             SimConfig(**kw)
 
@@ -85,7 +88,7 @@ class TestSimConfig:
         SimConfig(rtol=2.220446049250313e-14)  # 100 * machine epsilon
 
     def test_accepts_a_run_at_the_step_cap(self):
-        SimConfig(horizon=MAX_STEPS * MAX_STEP_DAYS)
+        SimConfig(horizon=MAX_STEPS)
         SimConfig(horizon=1000.0, output_dt=1000.0 / MAX_STEPS)
 
     def test_defaults(self):
@@ -215,10 +218,25 @@ class TestOpenLoop:
         sol = solve_ivp(
             lambda t, y: derivatives(y[0], y[1], y[2], y[4], y[5], 0, pm, N),
             (0.0, cfg.horizon), np.array(traj.samples[0].as_tuple()), method="RK45",
-            dense_output=True, rtol=cfg.rtol, atol=cfg.atol, max_step=MAX_STEP_DAYS,
+            dense_output=True, rtol=cfg.rtol, atol=cfg.atol,
         )
+        loose = 0  # values off by more than 1e-15 of themselves
         for s in traj.samples[1:]:
-            assert s.as_tuple() == pytest.approx(tuple(sol.sol(s.t)), rel=1e-15, abs=0.0)
+            got, ref = np.array(s.as_tuple()), sol.sol(s.t)
+            off = np.abs(got - ref) > 1e-15 * np.abs(ref)
+            if not off.any():
+                continue
+            # Late in the run I_A and I_S fall far below atol and below the
+            # interpolant's terms that sum to them, so there the rounding is
+            # relative to those terms. The step is the one OdeSolution picks:
+            # a time on a knot goes to the step ending there.
+            assert not off[[0, 3, 4, 5]].any() and (np.abs(ref[off]) < 10 * cfg.atol).all()
+            step = sol.sol.interpolants[max(np.searchsorted(sol.t, s.t) - 1, 0)]
+            x = (s.t - step.t_old) / step.h
+            terms = step.h * np.abs(step.Q) @ (x ** np.arange(1, 5)) + np.abs(step.y_old)
+            assert (np.abs(got - ref)[off] <= 1e-15 * terms[off]).all()
+            loose += int(off.sum())
+        assert loose <= 463  # of the 6,000 values, all after day 400
 
     @pytest.mark.parametrize("horizon,output_dt,expected", [
         (10.5, 1.0, [float(k) for k in range(11)] + [10.5]),
@@ -247,18 +265,29 @@ def solves(monkeypatch):
 
 
 class TestPhaseSolves:
-    """Each phase is one solve that stops at the first knot where its guard fires."""
+    """Each phase is one solve that stops at the first step on which its guard fires."""
 
-    def test_closed_loop_phase_ends_at_first_guard_knot(self, solves, scenario, cp8):
+    def test_closed_loop_phase_ends_at_first_guard_knot(self, solves, scenario, cp8,
+                                                        monkeypatch):
+        inner = {}  # the start of each step sent to the root solve: where it crosses, or None
+        crossing = simulator._extremum_crossing
+
+        def spy(dense, u, cp):
+            inner[float(dense.t_old)] = crossing(dense, u, cp)
+            return inner[float(dense.t_old)]
+
+        monkeypatch.setattr(simulator, "_extremum_crossing", spy)
         traj, _ = simulate(scenario, cp8, SimConfig())
         assert len(solves) == len(traj.events) + 1
         u = traj.u0
         for k, (_, t_span, _, _, sol) in enumerate(solves):
-            fired = [control_update(v, u, cp8) != u for v in sol.y[2][1:]]
+            fired = [control_update(v, u, cp8) != u or inner.get(t) is not None
+                     for v, t in zip(sol.y[2][1:], sol.t[:-1].tolist())]
             if k < len(traj.events):
                 ev = traj.events[k]
+                # no earlier step fires; the last step fires at its knot or inside it
                 assert fired.index(True) == len(fired) - 1
-                assert 0.0 <= sol.t[-1] - ev.t <= MAX_STEP_DAYS
+                assert sol.t[-2] <= ev.t <= sol.t[-1]
                 u = ev.u_new
             else:
                 assert t_span == (traj.events[-1].t, 1000.0)
@@ -279,6 +308,172 @@ class TestPhaseSolves:
         assert len(solves) == 1
         _, t_span, _, _, sol = solves[0]
         assert t_span == (0.0, 1000.0) and sol.t[-1] == 1000.0
+
+
+# Sixteen (eps_plus, eps_minus) pairs for the city, one in each sixteenth of
+# eps_plus in [6, 14] and of eps_minus in [4, 28].
+_SWEEP_PAIRS = [
+    (6.255910812350129, 5.701062545870747),
+    (6.975231848162967, 13.604669479670694),
+    (7.072079806359817, 20.805182861014224),
+    (7.974324723568622, 4.393470010662774),
+    (8.155915726005244, 12.625547008945079),
+    (8.711663224486287, 19.42061313697906),
+    (9.41385129691022, 27.227786461647455),
+    (9.70459956818458, 11.471105799701856),
+    (10.27479684383653, 18.94248579049568),
+    (10.513779556621534, 26.0871849111603),
+    (11.376756554337403, 9.311840283321152),
+    (11.76907165660964, 16.415336806068055),
+    (12.164865858249545, 23.74097801316269),
+    (12.894214351714202, 8.454888119824199),
+    (13.151597414645822, 15.274102878321818),
+    (13.726748944740326, 22.173798418706156),
+]
+
+# The city with 1,000 times its ICU beds: phi_plus is 44,000, far above the
+# open-loop peak, and an on threshold of 611.758 lies above every solver knot
+# of the u = 0 run (the largest is 611.59) but below its interpolant's peak
+# (611.925 near day 36.10), so the switch-on lies inside one step.
+_INSIDE_ONE_STEP = dict(n_icu=40_000.0, on=611.758, eps_minus=1.0)
+
+
+def _relay_run(n_icu, on, eps_minus):
+    """The city with n_icu beds under the pair (on, eps_minus), at [sim] defaults."""
+    sc = make_scenario(n_icu=n_icu)
+    phi_plus = sc.capacity.phi_plus()
+    cp = ControllerParams(eps_plus=phi_plus - on, eps_minus=eps_minus, phi_plus=phi_plus)
+    return simulate(sc, cp, SimConfig())[0], cp
+
+
+def _poly_step(t_old, h, y0, amp, sign, roots, n):
+    """A hand-made _Step: only I_S moves, along y0 + h * P(x) for x in [0, 1].
+
+    P(0) = 0, the slope of P is sign * prod(x - r / n for r in roots), and
+    P is scaled so that |h * P| reaches amp * y0 at most on the n-point grid.
+    """
+    dq = sign * np.atleast_1d(np.poly(np.array(roots, float) / n))[::-1]  # lowest power first
+    a = np.zeros(4)
+    a[:len(dq)] = dq / np.arange(1, len(dq) + 1)
+    x = np.arange(n + 1) / n
+    a *= amp * y0 / (h * np.abs(np.polyval(np.append(a[::-1], 0.0), x)).max())
+    Q = np.zeros((6, 4))
+    Q[2] = a
+    return simulator._Step(t_old, h, np.array([0.0, 0.0, y0, 0.0, 0.0, 0.0]), Q)
+
+
+def _armed(u, threshold):
+    """Controller parameters whose threshold armed in mode u is about threshold."""
+    if u == 0:
+        return ControllerParams(eps_plus=1.0, eps_minus=1.0, phi_plus=threshold + 1.0)
+    return ControllerParams(eps_plus=1.0, eps_minus=threshold, phi_plus=threshold + 2.0)
+
+
+class TestInStepGuard:
+    """The armed guard is tested on each step's whole interpolant, not only at its knots."""
+
+    def test_switch_on_inside_one_step(self):
+        traj, _ = _relay_run(**_INSIDE_ONE_STEP)
+        assert traj.events[0].u_new == 1
+        assert traj.events[0].t < 36.1
+
+    @pytest.mark.parametrize("n_icu, on, eps_minus", [
+        *((40.0, 44.0 - ep, em) for ep, em in _SWEEP_PAIRS),
+        tuple(_INSIDE_ONE_STEP.values()),
+    ], ids=[*(f"sweep{k}" for k in range(len(_SWEEP_PAIRS))), "inside_one_step"])
+    def test_relay_rule_holds_inside_every_piece(self, n_icu, on, eps_minus):
+        # relaxed below the on threshold, intervening above the off threshold,
+        # at every sample strictly between two switches
+        traj, cp = _relay_run(n_icu, on, eps_minus)
+        t, I_S = traj.samples.t, traj.samples.y[2]
+        for start, end, u in traj._phases():
+            inside = I_S[(start < t) & (t < end)]
+            if u == 0:
+                assert (inside < cp.on_threshold()).all(), (start, end)
+            else:
+                assert (inside > cp.off_threshold()).all(), (start, end)
+
+    def test_knot_step_that_crosses_twice_is_bracketed_at_its_first_crossing(self):
+        # I_S peaks at x = 0.3 (41.98), dips to x = 0.6 (41.66) and ends at
+        # the knot on 44: with the on threshold 41.8 it crosses near x = 0.2,
+        # falls back below near x = 0.45 and crosses again near x = 0.7
+        step = _poly_step(10.0, 5.0, 40.0, 0.1, -1.0, [3, 6, 20], 10)
+        cp = ControllerParams(eps_plus=2.2, eps_minus=1.0, phi_plus=44.0)
+
+        def fires(t):
+            return control_update(float(simulator._dense_at(step, t)[2]), 0, cp) != 0
+
+        assert fires(15.0) and not fires(12.5)
+        t_in = simulator._inner_crossing(step, True, 0, cp)
+        assert t_in == pytest.approx(11.5, abs=1e-9)
+        assert _bisect(10.0, t_in, fires, 1e-9)[1] < 11.5
+        assert _bisect(10.0, 15.0, fires, 1e-9)[1] > 12.5  # the whole step: the later crossing
+
+    # Hand-made steps whose slope has its roots on the points of the test
+    # grid (or outside [0, 1]), so the grid holds every extremum of I_S up
+    # to rounding; the I_S terms are scaled to amp * y0 at most. The
+    # threshold lies near the extremum the relay is armed for, or near the
+    # value at one grid point.
+    @settings(max_examples=300, deadline=None)
+    # flat at the start (a double root at x = 0), where the grid reaches
+    # the threshold only by rounding: the hull must not clear it
+    @example(t_old=9.0, h=23.220452752825675, y0=1.0, amp=0.5, sign=-1.0, roots=[0, 0, -32],
+             u=1, level=None, offset=0.0)
+    @given(t_old=st.floats(0.0, 1000.0), h=st.floats(1e-3, 50.0), y0=st.floats(1.0, 1e4),
+           amp=st.floats(1e-6, 0.9), sign=st.sampled_from([-1.0, 1.0]),
+           roots=st.lists(st.integers(-2000, 12000), max_size=3), u=st.sampled_from([0, 1]),
+           level=st.one_of(st.none(), st.integers(0, 9_999)),
+           offset=st.one_of(st.integers(-40, 40).map(lambda j: j * 2.0**-52),
+                            st.floats(-0.05, 0.05)))
+    def test_fires_exactly_when_the_interpolant_reaches_the_threshold(
+            self, t_old, h, y0, amp, sign, roots, u, level, offset):
+        n = 10_000
+        step = _poly_step(t_old, h, y0, amp, sign, roots, n)
+        ts = t_old + h * (np.arange(1, n + 1) / n)
+        grid = simulator._dense_rows([step], np.array([t_old, t_old + h]), ts)[2]
+        scale = y0 + h * np.abs(step.Q[2]).sum()
+        anchor = (grid.max() if u == 0 else grid.min()) if level is None else grid[level]
+        assume(anchor + offset * scale > 0.0)
+        cp = _armed(u, anchor + offset * scale)
+
+        def fires(t):
+            return control_update(float(simulator._dense_at(step, t)[2]), u, cp) != u
+
+        assume(not fires(t_old))  # in a run, a step starts where its guard does not fire
+        threshold = cp.on_threshold() if u == 0 else cp.off_threshold()
+        past = grid - threshold if u == 0 else threshold - grid  # > 0: the grid point reaches it
+        margin = 8 * sys.float_info.epsilon * scale
+        exact = simulator._extremum_crossing
+        solved = []
+
+        def spy(*args):
+            solved.append(exact(*args))
+            return solved[-1]
+
+        at_knot = fires(ts[-1])
+        with mock.patch.object(simulator, "_extremum_crossing", spy):
+            t_in = simulator._inner_crossing(step, at_knot, u, cp)
+        step_fires = at_knot or t_in is not None
+        if past.max() > margin:
+            assert step_fires
+        if step_fires:
+            assert past.max() >= -margin
+        # the filters drop no step that may need the root solve
+        if not at_knot and past.max() >= 0.0:
+            assert solved
+        slope = np.diff(grid)
+        if at_knot and slope.max() > margin and slope.min() < -margin:
+            assert solved
+        if t_in is not None:
+            assert t_old < t_in <= t_old + h
+            assert fires(t_in)
+        if step_fires:
+            # the bracket holds one crossing: the bisection ends no later
+            # than the first grid point clearly past the threshold
+            _, crossed = _bisect(t_old, ts[-1] if t_in is None else t_in, fires, 0.0)
+            assert fires(crossed)
+            if past.max() > margin:
+                assert crossed <= ts[np.argmax(past > margin)]
 
 
 class TestDenseOutput:
@@ -349,7 +544,7 @@ class TestStepReplica:
             return derivatives(S, I_A, I_S, D, psi, u, pm, N)
 
         y0 = np.array([sc.init.S0, sc.init.IA0, sc.init.IS0, sc.init.R0, sc.init.D0, sc.init.psi0])
-        kw = dict(rtol=rtol, atol=SimConfig().atol, max_step=MAX_STEP_DAYS, **options)
+        kw = dict(rtol=rtol, atol=SimConfig().atol, **options)
         ours = solve_ivp(rhs, (0.0, 60.0), y0, method=simulator._StopAtGuard,
                          guard=lambda y, dense: False, **kw)
         plain = solve_ivp(rhs, (0.0, 60.0), y0, method="RK45", **kw)
@@ -359,13 +554,14 @@ class TestStepReplica:
         assert ours.nfev == plain.nfev
         return ours
 
-    # A fast outbreak rejects a step on its own. A whole-day first step at
-    # rtol 1e-8 overshoots: its error norm passes (SAFETY / MIN_FACTOR)**5,
-    # about 1,845, so the MIN_FACTOR clamp cuts it.
+    # A fast outbreak rejects a step on its own, capped at a day or not. A
+    # whole-day first step at rtol 1e-8 overshoots: its error norm passes
+    # (SAFETY / MIN_FACTOR)**5, about 1,845, so the MIN_FACTOR clamp cuts it.
     @pytest.mark.parametrize("u, rtol, options", [
+        (0, 1e-6, {"max_step": 1.0}),
+        (1, 1e-8, {"max_step": 1.0, "first_step": 1.0}),
         (0, 1e-6, {}),
-        (1, 1e-8, {"first_step": MAX_STEP_DAYS}),
-    ], ids=["natural", "whole_day_first_step"])
+    ], ids=["natural", "whole_day_first_step", "natural_uncapped"])
     def test_rejected_steps_match(self, u, rtol, options):
         sol = self.assert_steps_match(make_scenario(beta_A=1.0, beta_S=1.0), u, rtol, **options)
         # 2 evaluations to start (1 with a first_step), then 6 per attempted step
@@ -443,15 +639,16 @@ class TestEventEdgeCases:
 
     def test_closed_loop_step_budget_trips(self, scenario, cp8, monkeypatch):
         # the one run budget counts steps across phases: this run switches
-        # first near day 15 and runs out of steps near day 915
-        monkeypatch.setattr(simulator, "MAX_STEPS", 1500)
+        # first near day 15 and runs out of steps near day 731, of the 1,083
+        # it takes to reach day 1000
+        monkeypatch.setattr(simulator, "MAX_STEPS", 1000)
         with pytest.raises(IntegrationError,
-                           match=r"^more than MAX_STEPS = 1500 solver steps by t = "):
+                           match=r"^more than MAX_STEPS = 1000 solver steps by t = "):
             simulate(scenario, cp8, SimConfig())
 
     def test_step_budget_trips(self, monkeypatch):
         # near rho = 1 the system is stiff and takes far more steps than
-        # horizon / MAX_STEP_DAYS, the fewest SimConfig checks
+        # the horizon in days, which SimConfig checks
         monkeypatch.setattr(simulator, "MAX_STEPS", 1000)
         with pytest.raises(IntegrationError,
                            match=r"^more than MAX_STEPS = 1000 solver steps by t = "):
