@@ -110,7 +110,9 @@ def load_scenario_file(path: str | Path) -> ScenarioFile:
             out-of-range scenario data, or [sim] values that SimConfig
             rejects. The message names the offender.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    # configparser copies the keys of its default section into every section;
+    # no header can name "" ("[]" is not one), so [DEFAULT] is an ordinary, unknown one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # keys are case-sensitive (beta_A, not beta_a)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -421,7 +423,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (PreconditionError, DerivationError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    except ValueError as exc:  # includes ScenarioFileError
+    except (ValueError, OSError) as exc:  # ScenarioFileError, or an output path not written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,8 +12,8 @@ on the time between switches. q itself is written once, in _q_terms.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,14 +41,20 @@ __all__ = [
 ]
 
 
-# The most points an int grid of find_feasible_eps or q_monotonicity_check
+# The most points the grid of find_feasible_eps or q_monotonicity_check
 # may ask for; a far larger grid would exhaust memory. Not a setting.
 MAX_GRID = 1_000_000
 
 
 def _check_int_grid(grid: int) -> None:
-    """Refuse an int grid of the q scans below 1 or above MAX_GRID points."""
-    if not 1 <= grid <= MAX_GRID:
+    """Refuse a q scan's grid, a point count, unless it is 1 to MAX_GRID.
+
+    Raises:
+        TypeError: grid is not an integer (a float, a list or a tuple);
+            any integer, a numpy one included, is taken.
+        ValueError: grid is below 1 or above MAX_GRID.
+    """
+    if not 1 <= operator.index(grid) <= MAX_GRID:
         raise ValueError(f"grid must have at least one point and at most "
                          f"MAX_GRID = {MAX_GRID} points, got {grid!r}")
 
@@ -252,12 +258,12 @@ def q_eval(eps: float, dc: DerivedConstants, scenario: Scenario) -> float:
 def q_monotonicity_check(
     scenario: Scenario,
     dc: DerivedConstants,
-    grid: int | Sequence[float] = 1000,
+    grid: int = 1000,
 ) -> QMonotonicityReport:
     """Verify strict increase of q on [M2/M1, phi_plus], two ways.
 
-    Empirically: q at consecutive grid points must strictly increase (an int
-    grid is that many points, endpoints included; 1 gives the two endpoints).
+    Empirically: q at consecutive grid points must strictly increase (grid
+    is a point count, endpoints included; 1 gives the two endpoints).
     Analytically: the closed forms require q1 > 0 at the left endpoint and a
     positive slope coefficient p*(zeta+1)*M1 - z/N; both follow from A6.
     Always returns a report (a q evaluation failure shows up as a grid
@@ -265,18 +271,13 @@ def q_monotonicity_check(
     give a report that is not all_ok).
 
     Raises:
-        ValueError: an int grid below 1 or above MAX_GRID, or a sequence
-            of fewer than two points.
+        TypeError: grid is not an integer.
+        ValueError: grid is below 1 or above MAX_GRID.
     """
     pm = scenario.params
     lo = _div(dc.M2, dc.M1)  # a numpy float: the divisions by p*N below may be by zero
-    if isinstance(grid, int):
-        _check_int_grid(grid)
-        pts = np.linspace(lo, dc.phi_plus, max(grid, 2))
-    else:
-        pts = np.asarray(list(grid), dtype=float)
-        if pts.size < 2:
-            raise ValueError("grid must have at least two points")
+    _check_int_grid(grid)
+    pts = np.linspace(lo, dc.phi_plus, max(grid, 2))
 
     values = _q(pts, dc, scenario)
     rising = values[:-1] < values[1:]
@@ -366,20 +367,19 @@ def _pair_at(on: float, dc: DerivedConstants) -> ControllerParams:
 def find_feasible_eps(
     scenario: Scenario,
     dc: DerivedConstants,
-    grid: int | Sequence[float] = 10_000,
+    grid: int = 10_000,
 ) -> ControllerParams:
     """Construct an admissible threshold pair by scanning q over a grid.
 
-    Scans candidate gaps eps in the open interval (M2/M1, phi_plus). An int
-    grid places that many points evenly in the interior; a sequence is used
-    as-is (every point must lie in the open interval). The largest grid eps
+    Scans candidate gaps eps in the open interval (M2/M1, phi_plus): grid
+    is a point count, placed evenly in the interior. The largest grid eps
     with q(eps) < phi_plus wins, and the pair is completed as
     eps_plus = phi_plus - eps, eps_minus = eps/2 (any value below eps would
     do). The returned pair passes in_CZ by construction.
 
     Raises:
-        ValueError: an int grid below 1 or above MAX_GRID, or a sequence
-            that is empty or leaves the open interval.
+        TypeError: grid is not an integer.
+        ValueError: grid is below 1 or above MAX_GRID.
         InfeasibleError: basic admissibility fails (named group), or no
             grid point satisfies q(eps) < phi_plus. The latter cannot
             happen with a fine grid when A3 holds, since q tends to
@@ -389,21 +389,9 @@ def find_feasible_eps(
     _require_sigma(scenario, dc)
 
     lo = dc.M2 / dc.M1
-    hi = dc.phi_plus
-    if isinstance(grid, int):
-        _check_int_grid(grid)
-        step = (hi - lo) / (grid + 1)
-        candidates = lo + np.arange(1, grid + 1) * step
-    else:
-        candidates = np.asarray(list(grid), dtype=float)
-        outside = ~((lo < candidates) & (candidates < hi))
-        if outside.any():
-            raise ValueError(
-                f"grid point {float(candidates[outside][0])!r} outside open interval "
-                f"({lo!r}, {hi!r})"
-            )
-        if not candidates.size:
-            raise ValueError("grid must have at least one point")
+    _check_int_grid(grid)
+    step = (dc.phi_plus - lo) / (grid + 1)
+    candidates = lo + np.arange(1, grid + 1) * step
 
     feasible = candidates[_q(candidates, dc, scenario) < dc.phi_plus]
     if not feasible.size:

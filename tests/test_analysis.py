@@ -317,10 +317,6 @@ class TestQMonotonicity:
         rep = q_monotonicity_check(scenario, dc, grid=1)  # clamped to 2 points
         assert rep.monotone_on_grid
 
-    def test_short_sequence_rejected(self, scenario, dc):
-        with pytest.raises(ValueError, match="two points"):
-            q_monotonicity_check(scenario, dc, grid=[1.0])
-
     @pytest.mark.parametrize("grid", [0, -5])
     def test_int_grid_below_one_rejected(self, scenario, dc, grid):
         # the same refusal as find_feasible_eps, not a clamp to two points
@@ -349,10 +345,15 @@ class TestQMonotonicity:
         assert math.isnan(rep.q1_at_left) and type(rep.q1_at_left) is float
 
     def test_turnover_located_by_explicit_grid(self, lowp):
-        sc, dc = lowp
-        rep = q_monotonicity_check(sc, dc, grid=[150.0, 174.0, 200.0, 230.0])
+        # with phi_plus 220 the turn lies inside [M2/M1, phi_plus]
+        sc, _ = lowp
+        sc = dataclasses.replace(sc, capacity=dataclasses.replace(sc.capacity, n_icu=200.0))
+        dc = derive_constants(sc)
+        assert dc.phi_plus == pytest.approx(220.0, rel=1e-12)
+        rep = q_monotonicity_check(sc, dc, grid=10)
         assert not rep.monotone_on_grid
-        assert rep.first_violation == (174.0, 200.0)
+        assert rep.first_violation == pytest.approx((171.4833379763953, 195.74166898819766),
+                                                    rel=1e-12)
         assert not rep.all_ok
 
 

@@ -99,6 +99,19 @@ class TestFileErrors:
         with pytest.raises(ScenarioFileError, match="plotting"):
             load_scenario_file(write(tmp_path, text))
 
+    @pytest.mark.parametrize("default, moved", [
+        ("beta_A = 0.9", "beta_A = 0.37\n"), ("horizon = 5", ""),
+    ], ids=["scenario_key", "sim_key"])
+    def test_default_section_is_an_unknown_section(
+        self, tmp_path, scenario, default, moved, capsys,
+    ):
+        # configparser would copy [DEFAULT] keys into every section: a scenario
+        # key would load from it, and a [sim] key would be blamed on [scenario]
+        text = scenario_file_text(scenario).replace(moved, "")
+        path = write(tmp_path, f"[DEFAULT]\n{default}\n\n{text}")
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == "error: unknown section [DEFAULT]\n"
+
     def test_non_numeric_value(self, tmp_path, scenario):
         text = scenario_file_text(scenario).replace("p = 0.02", "p = two")
         with pytest.raises(ScenarioFileError, match="invalid number for key 'p'"):
@@ -605,6 +618,19 @@ class TestNoTraceback:
         text = scenario_file_text(scenario, 10.0, 8.0) + (
             f"\n[sim]\nhorizon = 30.0\n{name} = {value!r}\n")
         self.assert_every_command_ends_in_an_exit_code(write(tmp_path, text))
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--horizon", "5", "--out"],
+        ["simulate", "--horizon", "5", "--events-out"],
+        ["simulate", "--horizon", "5", "--report-out"],
+        ["sweep", "--eps-minus-list", "8", "--out"],
+    ], ids=["simulate_out", "simulate_events_out", "simulate_report_out", "sweep_out"])
+    def test_output_path_not_written_is_usage_error(self, tmp_path, command, capsys):
+        target = str(tmp_path / "missing" / "out.txt")
+        assert main([command[0], str(bundled_scenario_path()), *command[1:], target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert target in err
 
     def assert_every_command_ends_in_an_exit_code(self, path):
         for command in self.COMMANDS:

@@ -260,22 +260,15 @@ class TestFindFeasible:
         assert in_CZ(tighter, scenario, dc).in_cz
 
     def test_singleton_grid_near_left_endpoint(self, scenario, dc):
+        # the pair find_feasible_eps completes at a grid point just inside A4
         eps = dc.M2 / dc.M1 + 1e-6
-        cp = find_feasible_eps(scenario, dc, grid=[eps])
+        cp = controller._pair_at(eps, dc)
         assert cp.eps_plus == pytest.approx(dc.phi_plus - eps, rel=1e-12)
         assert in_CZ(cp, scenario, dc).in_cz
-
-    def test_grid_point_outside_open_interval(self, scenario, dc):
-        with pytest.raises(ValueError, match="open interval"):
-            find_feasible_eps(scenario, dc, grid=[dc.M2 / dc.M1])
-        with pytest.raises(ValueError, match="open interval"):
-            find_feasible_eps(scenario, dc, grid=[dc.phi_plus])
 
     def test_degenerate_grids_rejected(self, scenario, dc):
         with pytest.raises(ValueError, match="at least one"):
             find_feasible_eps(scenario, dc, grid=0)
-        with pytest.raises(ValueError, match="at least one"):
-            find_feasible_eps(scenario, dc, grid=[])
 
     @pytest.mark.parametrize("scan", [find_feasible_eps, q_monotonicity_check])
     def test_int_grid_above_the_cap_rejected(self, scenario, dc, scan):
@@ -283,6 +276,16 @@ class TestFindFeasible:
         cap = controller.MAX_GRID
         with pytest.raises(ValueError, match=f"MAX_GRID = {cap} points, got {cap + 1}"):
             scan(scenario, dc, grid=cap + 1)
+
+    @pytest.mark.parametrize("grid", [[1.0, 2.0], (5,), 10.0], ids=["list", "tuple", "float"])
+    @pytest.mark.parametrize("scan", [find_feasible_eps, q_monotonicity_check])
+    def test_grid_that_is_not_a_point_count_rejected(self, scenario, dc, scan, grid):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            scan(scenario, dc, grid=grid)
+
+    @pytest.mark.parametrize("scan", [find_feasible_eps, q_monotonicity_check])
+    def test_numpy_int_grid_accepted(self, scenario, dc, scan):
+        assert scan(scenario, dc, grid=np.int64(50)) == scan(scenario, dc, grid=50)
 
     def test_infeasible_names_the_failing_group(self):
         # capacity too small for the growth bound: A3 fails
