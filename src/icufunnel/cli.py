@@ -265,10 +265,14 @@ def _flag_or_file(sf: ScenarioFile, args, key: str) -> float | None:
 
 
 def _resolve_cp(sf: ScenarioFile, args, required: bool = True) -> ControllerParams | None:
-    """The threshold pair from the flags or the file; None if incomplete and not required."""
+    """The threshold pair from the flags or the file.
+
+    None when neither half is given and the pair is not required; half a
+    pair is refused either way, never dropped for a fallback pair.
+    """
     ep, em = (_flag_or_file(sf, args, key) for key in _CONTROLLER_KEYS)
     if ep is None or em is None:
-        if required:
+        if required or (ep, em) != (None, None):
             raise ValueError(
                 f"{args.command} needs eps_plus and eps_minus "
                 "(a [controller] section or --eps-plus/--eps-minus)"
@@ -300,8 +304,6 @@ def cmd_constants(sf: ScenarioFile, args) -> int:
 
 
 def cmd_simulate(sf: ScenarioFile, args) -> int:
-    if args.open_loop is not None and args.open_loop not in (0, 1):
-        raise ValueError(f"--open-loop takes 0 or 1, got {args.open_loop!r}")
     cfg = sf.sim_config(open_loop_u=args.open_loop, horizon=args.horizon)
     cp = None if args.open_loop is not None else _resolve_cp(sf, args)  # unused in open loop
     traj, report = simulate(sf.scenario, cp, cfg)

@@ -277,19 +277,22 @@ def derivatives(
     each solver stage. R does not feed back, so it is not an argument.
     The simulator passes Python floats, unpacked from the stage's state
     with one tolist(): numpy scalars give the same bits for + - * / but
-    cost about twice as much per operation. Python floats overflow to inf
-    silently, so this function raises only on the two conditions below.
+    cost about twice as much per operation.
+
+    It is only the formula and checks nothing. The solver also calls it at
+    the trial stages of a step, which may leave the solution's domain (say
+    D > N in a stiff run with rho near 1) and give finite values there,
+    which the step's error test then rejects. The rules on a run's inputs
+    have their own owners: N - D0 > 0 in Scenario, rho < 1 in
+    simulator.simulate. Python floats overflow to inf silently, and at a
+    trial stage with N - D exactly 0 the division fails with
+    ZeroDivisionError, which simulate reports as IntegrationError.
 
     Returns:
         (dS, dI_A, dI_S, dR, dD, dpsi). The first five sum to zero in exact
         arithmetic (total population is conserved; D counts as population).
     """
     alive = N - D
-    if alive <= 0.0:
-        raise ValueError(f"degenerate population: N - D = {alive!r} <= 0")
-    if params.rho >= 1.0:
-        raise ValueError("rho must be < 1 to form the symptomatic removal rate")
-
     pm = params
     removal_S = pm.alpha_S / (1.0 - pm.rho)          # total symptomatic removal
     death_rate = pm.rho * removal_S                  # fatal share of removal

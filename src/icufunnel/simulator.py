@@ -49,9 +49,15 @@ provable path properties, each check one mask over the sample columns.
 The right-hand side unpacks each solver stage with one tolist() and passes
 Python floats to model.derivatives: numpy scalar arithmetic costs about
 twice as much, and IEEE + - * / give the same bits on either type, so every
-knot, event and sample is unchanged. A Python float overflows to inf
-without an error, so an overflow inside the right-hand side surfaces in the
-solver's numpy operations, which run under np.errstate and raise.
+knot, event and sample is unchanged. The right-hand side is only the
+formula and checks nothing: the solver also evaluates it at trial stages,
+which may leave the solution's domain (D > N in a stiff run with rho near
+1) and whose step the error test then rejects. simulate checks rho < 1 once
+per run, and Scenario owns N - D0 > 0. Python float arithmetic rounds an
+overflow to inf without an error, so an overflow inside the right-hand
+side surfaces in the solver's numpy operations, which run under np.errstate
+and raise; a Python division by zero raises ZeroDivisionError. simulate
+reports every such ArithmeticError as IntegrationError.
 
 A run's samples are stored as columns, never as rows: simulate keeps each
 phase's (6, k) block from _dense_rows and its closing column, and joins
@@ -146,7 +152,9 @@ def __getattr__(name: str):
         takes about a quarter off a 1,000-day closed-loop run. Python
         scalars replace numpy ones only where they give the same bits:
         math.sqrt(err.dot(err)) is np.linalg.norm's own path, then
-        math.nextafter and abs. nfev still counts every evaluation. A scipy
+        math.nextafter and abs. nfev still counts every evaluation. The one
+        departure: a nan step size (from a nan start derivative) ends as
+        TOO_SMALL_STEP, where scipy's loop would spin on it forever. A scipy
         that steps differently breaks TestPhaseSolves, TestDenseOutput and
         TestStepReplica, which compare against plain RK45.
         """
@@ -166,7 +174,8 @@ def __getattr__(name: str):
             K[0] = self.f  # no stage writes row 0, so a retry keeps it
             step_rejected = False
             while True:
-                if h_abs < min_step:
+                # not >=, unlike scipy's h_abs < min_step: a nan step ends here too
+                if not h_abs >= min_step:
                     return False, self.TOO_SMALL_STEP
                 h = h_abs * direction
                 t_new = t + h
@@ -217,10 +226,13 @@ class SimConfig:
     raise it with a warning. The run-length cap MAX_STEPS is a module
     constant, not a setting: horizon / output_dt (the grid rows) and the
     horizon in days must not pass it, and simulate raises IntegrationError
-    once the solver has accepted more than MAX_STEPS steps in the run. The
-    solver chooses its step sizes with no cap, yet a horizon of 1e300 days
-    with one grid row would still grind through the whole step budget,
-    hence the rule on days.
+    once the solver has accepted more than MAX_STEPS steps in the run. That
+    one rule is the grid's only size rule: an output_dt so small that
+    horizon / output_dt rounds to inf passes MAX_STEPS too. The solver
+    chooses its step sizes with no cap, yet a horizon of 1e300 days with
+    one grid row would still grind through the whole step budget, hence the
+    rule on days. Each rule here is checked only here: the CLI passes
+    --open-loop through as open_loop_u unchecked.
     """
 
     horizon: float = 1000.0
@@ -237,9 +249,6 @@ class SimConfig:
             raise ValueError(
                 f"output_dt must be in (0, horizon], got {self.output_dt!r}"
             )
-        if self.horizon / self.output_dt == math.inf:
-            raise ValueError(
-                f"output_dt too small: horizon / output_dt overflows, got {self.output_dt!r}")
         if max(self.horizon, self.horizon / self.output_dt) > MAX_STEPS:
             raise ValueError(
                 f"run too long: max(horizon, horizon / output_dt) is above MAX_STEPS = "
@@ -419,11 +428,14 @@ def simulate(
 
     Raises:
         PreconditionError: unordered pair, or closed-loop start set violated.
-        IntegrationError: the integrator failed inside a phase, hit a
-            floating-point overflow, invalid operation or division by zero,
+        IntegrationError: the integrator failed inside a phase, hit any
+            ArithmeticError (a floating-point overflow, invalid operation or
+            division by zero, numpy's or Python's, at a trial stage too),
             or accepted more than MAX_STEPS steps over the run (so a
             chattering run ends here too).
-        ValueError: neither cp nor cfg.open_loop_u provided.
+        ValueError: neither cp nor cfg.open_loop_u provided, or rho >= 1,
+            for which the symptomatic removal rate alpha_S / (1 - rho) is
+            undefined (checked once, after the closed-loop start set).
     """
     pm = scenario.params
     ini = scenario.init
@@ -441,6 +453,8 @@ def simulate(
             raise PreconditionError(f"closed-loop runs require D0 = 0, got {ini.D0!r}")
         if ini.psi0 != 1.0:
             raise PreconditionError(f"closed-loop runs require psi0 = 1, got {ini.psi0!r}")
+    if pm.rho >= 1.0:
+        raise ValueError("rho must be < 1 to form the symptomatic removal rate")
 
     this = sys.modules[__name__]  # solve_ivp and _StopAtGuard, as bound now
     events: list[SwitchEvent] = []
@@ -487,16 +501,17 @@ def simulate(
             return at_knot or t_inner is not None
 
         try:
-            # an overflow or nan would otherwise only warn, and RK45 keeps stepping on nan
+            # an overflow or nan would otherwise only warn, and RK45 keeps stepping on
+            # nan; a Python float division by zero raises ZeroDivisionError on its own
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 sol = this.solve_ivp(
                     rhs, (t_cur, cfg.horizon), y_cur, method=this._StopAtGuard, guard=guard,
                     rtol=cfg.rtol, atol=cfg.atol,
                 )
-        except FloatingPointError as exc:
+        except ArithmeticError as exc:
             raise IntegrationError(f"floating-point error after t = {t_cur!r}: {exc}") from exc
         if not sol.success:
-            raise IntegrationError(f"integrator failed near t = {sol.t[-1]!r}: {sol.message}")
+            raise IntegrationError(f"integrator failed near t = {sol.t[-1].item()!r}: {sol.message}")
 
         # the solve ends at the first step on which the guard fires, or else
         # at the horizon, where the guard may fire too; either way on the last step

@@ -174,7 +174,8 @@ class TestFileErrors:
     @pytest.mark.parametrize("sim, message", [
         ("horizon = inf", "horizon must be finite and > 0, got inf"),
         ("output_dt = 5e-324",
-         "output_dt too small: horizon / output_dt overflows, got 5e-324"),
+         "run too long: max(horizon, horizon / output_dt) is above MAX_STEPS = 1000000, "
+         "got horizon 1000.0, output_dt 5e-324"),
     ], ids=["inf_horizon", "subnormal_output_dt"])
     @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--eps-minus-list", "8"]],
                              ids=["simulate", "sweep"])
@@ -367,8 +368,9 @@ class TestSimulateCommand:
         assert captured.err == "error: horizon must be finite and > 0, got inf\n"
 
     def test_open_loop_value_checked(self, plain_file, capsys):
+        # SimConfig alone checks the value
         assert main(["simulate", plain_file, "--open-loop", "2"]) == 2
-        assert "--open-loop" in capsys.readouterr().err
+        assert "open_loop_u must be 0, 1 or None, got 2" in capsys.readouterr().err
 
     def test_overflowing_start_is_one_line(self, tmp_path, scenario, capsys):
         # scipy's first-step norm overflows on IA0 = 1e300
@@ -436,6 +438,17 @@ class TestRobustCommand:
         out = capsys.readouterr().out
         assert "eps_plus = 37.91140136740129" in out
         assert "pass_fraction = 1.0" in out
+
+    @pytest.mark.parametrize("flag", [["--eps-plus", "5"], ["--eps-minus", "1"]],
+                             ids=["eps_plus_only", "eps_minus_only"])
+    def test_half_a_pair_is_usage_error(self, tmp_path, interior_scenario, flag, capsys):
+        # the fallback pair stands in only when neither half is given
+        path = write(tmp_path, scenario_file_text(interior_scenario))
+        assert main(["robust", path, "--samples", "8", *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: robust needs eps_plus and eps_minus")
+        assert captured.err.count("\n") == 1
 
 
 class TestSweepCommand:

@@ -149,16 +149,6 @@ class TestDerivatives:
         d = derivatives(89950.0, 49.0, 1.0, 0.0, 0.5, 0, pm, 100000.0)
         assert d[5] == pytest.approx(pm.gamma_0 * 0.5, rel=1e-12)
 
-    def test_dead_population_rejected(self):
-        pm = EpidemicParams(**TABLE)
-        with pytest.raises(ValueError, match="population"):
-            derivatives(0.0, 0.0, 0.0, 100000.0, 1.0, 0, pm, 100000.0)
-
-    def test_rho_one_rejected(self):
-        pm = EpidemicParams(**dict(TABLE, rho=1.0))
-        with pytest.raises(ValueError, match="rho"):
-            derivatives(89950.0, 49.0, 1.0, 0.0, 1.0, 0, pm, 100000.0)
-
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_python_floats_give_the_numpy_scalar_bits(self, scenario, interior_scenario, data):

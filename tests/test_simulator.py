@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -21,12 +21,14 @@ from icufunnel import (
     ControllerParams,
     IntegrationError,
     PreconditionError,
+    Scenario,
     SimConfig,
     State,
     SwitchEvent,
     Trajectory,
     control_update,
     derivatives,
+    derive_constants,
     input_cost,
     simulate,
     validate_trajectory,
@@ -57,7 +59,9 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("kw, message", [
         (dict(horizon=math.inf), "horizon must be finite and > 0, got inf"),
-        (dict(output_dt=5e-324), "output_dt too small: horizon / output_dt overflows, got 5e-324"),
+        # horizon / output_dt overflows to inf, which passes MAX_STEPS too
+        (dict(output_dt=5e-324), "run too long: max(horizon, horizon / output_dt) is above "
+                                 "MAX_STEPS = 1000000, got horizon 1000.0, output_dt 5e-324"),
         (dict(horizon=math.inf, output_dt=math.inf), "horizon must be finite"),
     ], ids=["inf_horizon", "subnormal_output_dt", "inf_both"])
     def test_rejects_a_non_finite_sample_grid(self, kw, message):
@@ -604,6 +608,20 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="closed-loop"):
             simulate(scenario, None, SimConfig())
 
+    @pytest.mark.parametrize("open_loop", [False, True], ids=["closed_loop", "open_loop"])
+    def test_rho_one_rejected(self, monkeypatch, cp8, open_loop):
+        # alpha_S / (1 - rho) is undefined: simulate refuses the run before any solve
+        calls = []
+        monkeypatch.setattr(simulator, "solve_ivp", lambda *args, **kw: calls.append(args))
+        cfg = SimConfig(open_loop_u=0) if open_loop else SimConfig()
+        with pytest.raises(ValueError, match="^rho must be < 1 to form the symptomatic removal rate$"):
+            simulate(make_scenario(rho=1.0), None if open_loop else cp8, cfg)
+        assert calls == []
+
+
+# The city made stiff: alpha_S / (1 - rho) = 8500 per day, and D0 = 10 of N = 14.
+_STIFF = make_scenario(rho=0.99999, S0=1.0, IA0=1.0, R0=1.0, D0=10.0).values()
+
 
 class TestEventEdgeCases:
     def test_start_on_threshold_fires_at_zero(self, cp8):
@@ -623,6 +641,41 @@ class TestEventEdgeCases:
         # operations, under np.errstate, raise on what follows
         with pytest.raises(IntegrationError, match=r"^floating-point error after t = 0\.0: "):
             simulate(make_scenario(S0=1.7e308), None, SimConfig(open_loop_u=0, horizon=5.0))
+
+    def test_rhs_zero_division_is_integration_error(self, scenario, monkeypatch):
+        # a Python float division by zero (N - D exactly 0 at a trial stage)
+        # ends the run like numpy's floating-point errors do
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            if len(calls) == 10:
+                raise ZeroDivisionError("float division by zero")
+            return derivatives(*args)
+
+        monkeypatch.setattr(simulator, "derivatives", spy)
+        with pytest.raises(IntegrationError, match=r"^floating-point error after t = "):
+            simulate(scenario, None, SimConfig(open_loop_u=0, horizon=5.0))
+
+    def test_nan_start_derivative_is_integration_error(self):
+        # gamma_K * rho * alpha_A / (1 - rho) * I_A overflows to inf, and
+        # inf * 0 in dpsi (u = 0) gives nan: the first step size is nan, on
+        # which scipy's step loop would never end
+        sc = make_scenario(rho=0.9999, IA0=1e306, R0=1e306, S0=0.0, alpha_S=0.0)
+        with pytest.raises(IntegrationError, match=r"^integrator failed near t = 0\.0: "):
+            simulate(sc, None, SimConfig(open_loop_u=0, horizon=1.0))
+
+    @pytest.mark.parametrize("u", [0, 1])
+    def test_stiff_run_leaves_the_domain_only_at_rejected_stages(self, u):
+        # a trial stage of the first step reaches D > N = 14, where the
+        # right-hand side still gives finite values, and the step's error
+        # test rejects it
+        sc = Scenario.from_values(_STIFF)
+        traj, report = simulate(sc, None, SimConfig(horizon=1.0, open_loop_u=u))
+        assert traj.horizon == 1.0
+        assert 10.0 < report.D_max < sc.population()
+        rep = validate_trajectory(traj, sc, derive_constants(sc), None)
+        assert rep.check("a").passed and rep.check("b").passed
 
     def test_rhs_gets_python_floats(self, scenario, cp8, monkeypatch):
         # one tolist() per solver stage: numpy scalars cost about twice as much
@@ -890,3 +943,46 @@ def test_run_validate_and_render_build_no_row(monkeypatch, scenario, dc, cp8, op
     assert trajectory_csv_text(traj).count("\n") == len(traj.samples) + 1
     events_csv_text(traj)
     run_report_text(report)
+
+
+# Every coordinate over its whole model._RANGES range, D0 included, with rho
+# often in [0.999, 1], where alpha_S / (1 - rho) makes the system stiff.
+_ANY_SCENARIO = st.fixed_dictionaries({
+    k: st.one_of(st.floats(0.999, 1.0), st.floats(lo, hi)) if k == "rho"
+    else st.floats(lo, hi, allow_infinity=False)
+    for k, (lo, hi) in _RANGES.items()
+})
+
+
+class TestErrorContract:
+    """simulate returns or raises IntegrationError on every scenario the constructors accept.
+
+    The one exception is rho = 1, which it refuses with ValueError before
+    any solve.
+    """
+
+    @pytest.fixture(scope="class", autouse=True)
+    def small_step_budget(self):
+        # a stiff draw ends at this budget; hypothesis refuses function-scoped
+        # fixtures, so the patch spans the class
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "MAX_STEPS", 2000)
+            yield
+
+    # about two draws in three overflow the population or the capacity bound,
+    # or leave N - D0 at 0, and are filtered out
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(values=_ANY_SCENARIO, u=st.sampled_from([0, 1]))
+    @example(values=_STIFF, u=0)
+    @example(values=_STIFF, u=1)
+    def test_returns_or_raises_integration_error(self, values, u):
+        try:
+            sc = Scenario.from_values(values)
+        except ValueError:
+            assume(False)
+        try:
+            simulate(sc, None, SimConfig(horizon=1.0, open_loop_u=u))
+        except IntegrationError:
+            pass
+        except ValueError as exc:
+            assert values["rho"] == 1.0 and str(exc).startswith("rho must be < 1")
