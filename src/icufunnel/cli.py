@@ -181,10 +181,16 @@ def scenario_file_text(
     """Serialize a scenario (and optional controller/sim data) to file text.
 
     Round-trip exact: load_scenario_file on the result reproduces the
-    identical Scenario value.
+    identical Scenario value, and the pair when both halves are given.
+
+    Raises:
+        ValueError: exactly one half of the threshold pair is given, which
+            the text could not carry.
     """
+    if (eps_plus is None) != (eps_minus is None):
+        raise ValueError("a [controller] section needs both eps_plus and eps_minus")
     text = "[scenario]\n" + "".join(f"{k} = {v!r}\n" for k, v in scenario.values().items())
-    if eps_plus is not None and eps_minus is not None:
+    if eps_plus is not None:
         text += f"\n[controller]\neps_plus = {eps_plus!r}\neps_minus = {eps_minus!r}\n"
     if sim is not None:
         text += "\n[sim]\n" + _record_text(sim, _SIM_KEYS)

@@ -4,17 +4,19 @@ Between switches the dynamics are a smooth ODE in one of two input modes, so
 each mode phase is integrated with an adaptive RK45 pair and dense output.
 Only one guard is armed per mode: the on threshold (phi_plus - eps_plus)
 while relaxed, the off threshold (eps_minus) while intervening.
-Each phase's solve stops at the first accepted step on which the armed
-guard fires: at its knot, or inside it, where its I_S interpolant
-reaches the threshold at an extremum (_inner_crossing). The first
-crossing, between the step's start and the first such extremum or else
-the knot, is located by controller._bisect on the dense output, to within
-event_time_tol or to adjacent floats, whichever comes first (so any
-positive tolerance ends); the phase is truncated at the bracket's crossed
-end, the mode flips, and integration restarts. Step sizes are chosen
-against the horizon as the solver's end point, so the knots are those of
-a solve to the horizon, cut at the guard. Open-loop runs fix the input
-and arm no guard, so their one solve reaches the horizon.
+Whether and where the relay switches is decided once per accepted step,
+by _switch_time, as the solver accepts it: the armed guard fires at the
+step's knot, or inside it, where its I_S interpolant reaches the threshold
+at an extremum (_extrema). The first crossing, between the step's start
+and the first such extremum or else the knot, is located by
+controller._bisect on the dense output, to within event_time_tol or to
+adjacent floats, whichever comes first (so any positive tolerance ends).
+The solve stops at the first step that switches; the phase is truncated
+at the bracket's crossed end, the mode flips, and integration restarts.
+Step sizes are chosen against the horizon as the solver's end point, so
+the knots are those of a solve to the horizon, cut at the guard.
+Open-loop runs fix the input and arm no guard, so their one solve reaches
+the horizon.
 
 solve_ivp drives each phase, and the RK45 subclass _StopAtGuard takes its
 steps with its own copy of scipy 1.17.1's RungeKutta._step_impl, which
@@ -137,7 +139,8 @@ def __getattr__(name: str):
     class _StopAtGuard(RK45):
         """RK45 that finishes at the first accepted step for which guard holds.
 
-        guard(y, dense) gets each accepted step's new state and its dense
+        guard(t_new, y_new, dense) gets each accepted step's end time (a
+        Python float) and new state, both the solver's own, and its dense
         output, a _Step holding what scipy's RkDenseOutput would (the
         interpolant OdeSolution would hold). t_bound stays the caller's end
         point, so every step size, knot and dense-output segment up to that
@@ -203,7 +206,7 @@ def __getattr__(name: str):
             self.t = t_new
             self.y = y_new
             self.f = f_new
-            if self.guard(y_new, _Step(t, h, y, K.T.dot(self.P))):
+            if self.guard(float(t_new), y_new, _Step(t, h, y, K.T.dot(self.P))):
                 self.status = "finished"
             return True, None
 
@@ -477,7 +480,7 @@ def simulate(
     gi = 1  # grid[0] = 0 is covered by the initial column
     max_is = float(ini.IS0)
     t_cur = 0.0
-    t_inner = None  # where the guard's last step crosses inside, if it does
+    t_switch = None  # where the guard's last step switches the relay, if it does
     steps: list = []  # the dense output of each accepted step of the phase
     steps_left = MAX_STEPS  # accepted steps the run may still take
 
@@ -486,19 +489,15 @@ def simulate(
             S, I_A, I_S, _, D, psi = y.tolist()
             return derivatives(S, I_A, I_S, D, psi, _u, pm, N)
 
-        def fires(y, _u=u):
-            # the relay would leave mode _u here (never in open loop)
-            return not open_loop and control_update(y[2], _u, cp) != _u
-
-        def guard(y, dense):
-            nonlocal t_inner
+        def guard(t_new, y_new, dense, _u=u):
+            nonlocal t_switch
             steps.append(dense)
             if len(steps) > steps_left:
                 raise IntegrationError(f"more than MAX_STEPS = {MAX_STEPS} solver steps "
-                                       f"by t = {float(dense.t_old + dense.h)!r}")
-            at_knot = fires(y)
-            t_inner = None if open_loop else _inner_crossing(dense, at_knot, u, cp)
-            return at_knot or t_inner is not None
+                                       f"by t = {t_new!r}")
+            t_switch = None if open_loop else _switch_time(
+                dense, t_new, y_new, _u, cp, cfg.event_time_tol)
+            return t_switch is not None
 
         try:
             # an overflow or nan would otherwise only warn, and RK45 keeps stepping on
@@ -513,17 +512,9 @@ def simulate(
         if not sol.success:
             raise IntegrationError(f"integrator failed near t = {sol.t[-1].item()!r}: {sol.message}")
 
-        # the solve ends at the first step on which the guard fires, or else
-        # at the horizon, where the guard may fire too; either way on the last step
-        hit = t_inner is not None or fires(sol.y[:, -1])
-        if not hit:
-            t_end = cfg.horizon
-        else:
-            # not yet crossed at the last step's start, crossed at its first crossing
-            # extremum or else at its end, with one crossing between
-            _, t_end = _bisect(float(sol.t[-2]), float(sol.t[-1]) if t_inner is None else t_inner,
-                               lambda m: fires(_dense_at(steps[-1], m)), cfg.event_time_tol)
-
+        # the solve ends at the first step that switches, or else at the
+        # horizon, where the last step may switch too
+        t_end = cfg.horizon if t_switch is None else t_switch
         # grid columns strictly inside the phase, then the closing column,
         # which also starts the next phase
         gj = bisect_left(grid, t_end, gi)
@@ -536,7 +527,7 @@ def simulate(
         steps.clear()  # the solver lingers in a reference cycle until a collection
         phase_is = np.concatenate((sol.y[2][sol.t <= t_end], ys[2], y_end[2:3]))
         max_is = max(max_is, float(phase_is.max()))
-        if not hit:
+        if t_switch is None:
             break
         gi = bisect_right(grid, t_end, gj)  # the closing column takes an equal grid time's place
         u = 1 - u
@@ -584,61 +575,65 @@ def _dense_at(dense, t: float) -> np.ndarray:
     return h * np.dot(dense.Q, np.array((x, x2, x3, x3 * x))) + dense.y_old
 
 
-def _inner_crossing(dense, at_knot: bool, u: int, cp: ControllerParams) -> float | None:
-    """The first extremum inside one RK45 step where the relay leaves mode u, or None.
+def _extrema(dense) -> list[float]:
+    """The times of the extrema of I_S strictly inside one RK45 step, in order.
 
     On the step, I_S = y_old[2] + h * (a1 x + a2 x**2 + a3 x**3 + a4 x**4)
-    for x = (t - t_old) / h in [0, 1], with (a1, a2, a3, a4) = Q[2]. The
-    armed threshold is the on threshold while relaxed (u = 0, reached from
-    below) and the off threshold while intervening (u = 1, from above).
-    The polynomial's degree-4 Bernstein coefficients bound it on [0, 1],
-    and their differences bound its slope. Two cheap filters skip the root
-    solve of _extremum_crossing, each widened by far more than the rounding
-    of _dense_at, that of x included, so it may let a step through but
-    never drops one that needs it:
-    - at_knot false (the knot does not fire): the hull stays clear of the
-      threshold, so no time in the step reaches it;
-    - at_knot true: the slope keeps one sign, so the crossed times are one
-      interval ending at the knot and the whole step may be bisected.
-    On the benchmark inputs every step is skipped by one of the two.
-    """
-    a1, a2, a3, a4 = dense.Q[2].tolist()
-    h, t_old, y0 = float(dense.h), float(dense.t_old), float(dense.y_old[2])
-    hull = (0.0, a1 / 4, a1 / 2 + a2 / 6, 0.75 * a1 + a2 / 2 + a3 / 4, a1 + a2 + a3 + a4)
-    size = abs(a1) + abs(a2) + abs(a3) + abs(a4)
-    if at_knot:
-        slope = [b - a for a, b in zip(hull, hull[1:])]
-        if min(slope) > 1e-12 * size or max(slope) < -1e-12 * size:
-            return None
-    else:
-        slack = 1e-12 * (abs(y0) + (abs(t_old) + h) * size)
-        if (y0 + h * max(hull) + slack < cp.on_threshold() if u == 0
-                else y0 + h * min(hull) - slack > cp.off_threshold()):
-            return None
-    return _extremum_crossing(dense, u, cp)
-
-
-def _extremum_crossing(dense, u: int, cp: ControllerParams) -> float | None:
-    """The first extremum inside one RK45 step where the relay leaves mode u, or None.
-
-    The extrema of the step's I_S interpolant (see _inner_crossing) are
-    the roots of its derivative cubic. Each root with real part x in
-    (0, 1), in order, is tried at t = t_old + x * h with _dense_at (the real
-    part of a complex pair too: a near-double root may come out complex),
-    and the first where the relay leaves mode u is returned. Every extremum
-    before it stays clear, so from the step's start to it the crossed times
-    are one interval, which controller._bisect searches; with None, so are
-    they up to the knot. The knot itself is not tried: simulate tests the
-    solver's own state there.
+    for x = (t - t_old) / h in [0, 1], with (a1, a2, a3, a4) = Q[2]; its
+    extrema are the roots of the derivative cubic. Each root with real part
+    x in (0, 1) gives t = t_old + x * h: the real part of a complex pair
+    too, since a near-double root may come out complex.
     """
     a1, a2, a3, a4 = dense.Q[2].tolist()
     h, t_old = float(dense.h), float(dense.t_old)
     roots = np.roots((4 * a4, 3 * a3, 2 * a2, a1)).tolist()
-    for x in sorted(r.real for r in roots if 0.0 < r.real < 1.0):
-        t = t_old + x * h
-        if control_update(float(_dense_at(dense, t)[2]), u, cp) != u:
-            return t
-    return None
+    return [t_old + x * h for x in sorted(r.real for r in roots if 0.0 < r.real < 1.0)]
+
+
+def _switch_time(dense, t_new: float, y_new, u: int, cp: ControllerParams,
+                 tol: float) -> float | None:
+    """Where the relay leaves mode u on one RK45 step ending at (t_new, y_new), or None.
+
+    The armed threshold is the on threshold while relaxed (u = 0, reached
+    from below) and the off threshold while intervening (u = 1, from
+    above); the step starts where the relay holds u. The step fires at its
+    knot, tested on the solver's own state y_new, or at an extremum of its
+    I_S interpolant (see _extrema). The degree-4 Bernstein coefficients of
+    that polynomial bound it on the step, and their differences bound its
+    slope. Two filters skip the root solve, each widened by far more than
+    the rounding of _dense_at, that of x included, so it may let a step
+    through but never drops one that needs it:
+    - the knot does not fire and the hull stays clear of the threshold, so
+      no time in the step reaches it: None;
+    - the knot fires and the slope keeps one sign, so the crossed times are
+      one interval ending at the knot.
+    On the benchmark inputs every step is settled by one of the two.
+    Otherwise the extrema are tried in order, and the first where the relay
+    leaves mode u ends the bracket; with none, the knot does, and a knot
+    that does not fire leaves None. Every extremum before the bracket's end
+    stays clear, so the crossed times up to it are one interval, and
+    controller._bisect locates its start from t_old, to within tol or to
+    adjacent floats. The result is the bracket's crossed end.
+    """
+    def crossed(t):
+        return control_update(float(_dense_at(dense, t)[2]), u, cp) != u
+
+    a1, a2, a3, a4 = dense.Q[2].tolist()
+    h, t_old, y0 = float(dense.h), float(dense.t_old), float(dense.y_old[2])
+    hull = (0.0, a1 / 4, a1 / 2 + a2 / 6, 0.75 * a1 + a2 / 2 + a3 / 4, a1 + a2 + a3 + a4)
+    size = abs(a1) + abs(a2) + abs(a3) + abs(a4)
+    at_knot = control_update(y_new[2], u, cp) != u
+    if at_knot:
+        slope = [b - a for a, b in zip(hull, hull[1:])]
+        settled = min(slope) > 1e-12 * size or max(slope) < -1e-12 * size
+    else:
+        slack = 1e-12 * (abs(y0) + (abs(t_old) + h) * size)
+        settled = (y0 + h * max(hull) + slack < cp.on_threshold() if u == 0
+                   else y0 + h * min(hull) - slack > cp.off_threshold())
+    end = t_new if at_knot else None
+    if not settled:
+        end = next((t for t in _extrema(dense) if crossed(t)), end)
+    return None if end is None else _bisect(t_old, end, crossed, tol)[1]
 
 
 def _dense_rows(steps: list, knots: np.ndarray, ts: np.ndarray) -> np.ndarray:

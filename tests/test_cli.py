@@ -57,6 +57,13 @@ class TestScenarioFile:
         assert sf.sim == {"horizon": 1000.0, "output_dt": 1.0, "rtol": 1e-8,
                           "atol": 1e-10, "event_time_tol": 1e-9}
 
+    @pytest.mark.parametrize("half", [{"eps_plus": 5.0}, {"eps_minus": 1.0}],
+                             ids=["eps_plus_only", "eps_minus_only"])
+    def test_half_a_pair_is_refused(self, scenario, half):
+        # the text could not carry it: a dropped half would break the round trip
+        with pytest.raises(ValueError, match="needs both eps_plus and eps_minus"):
+            scenario_file_text(scenario, **half)
+
     def test_serialization_is_exact(self, tmp_path, scenario):
         # repr round-trip keeps every float bit-identical
         odd = dataclasses.replace(

@@ -19,6 +19,16 @@ perfbench seeds 1-3:
   error). It also hashes the ``RobustnessResult`` of the probe that
   ``certify_op`` runs and discards, so a change to the probe shows.
 
+One more digest, ``in_step``, is not a perfbench workload: the benchmark's
+closed-loop inputs never reach the root solve of the in-step guard
+(``simulator._extrema``). It runs the same operation, and hashes the same
+parts, on the bundled city with ``n_icu`` 40,000 at the ``SimConfig``
+defaults, for each on threshold in ``IN_STEP_ON`` and each ``eps_minus`` in
+``IN_STEP_EPS_MINUS``. The u = 0 phase peaks near 611.925 between knots no
+higher than 611.59, so on = 611.5 switches at a knot without the root solve,
+611.6 to 611.9 switch inside a step through it, and 611.95 and 612.0 reach
+it and never switch.
+
 Prints one sha256 digest per workload per side, and exits 1 when any
 workload's digests differ. Standard library only in this process.
 """
@@ -38,7 +48,26 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, extract, git  # noqa: E402
 
 SEEDS = (1, 2, 3)
-WORKLOADS = ("closed_loop", "open_loop_fine", "certify")
+WORKLOADS = ("closed_loop", "open_loop_fine", "certify", "in_step")
+IN_STEP_ON = (611.5, 611.6, 611.758, 611.9, 611.95, 612.0)
+IN_STEP_EPS_MINUS = (1.0, 300.0)
+
+
+def in_step_cases() -> list:
+    """The in_step digest's runs, as perfbench simulation cases."""
+    from icufunnel import Scenario, cli, constants, controller, simulator
+    from perfbench import workloads
+
+    city = cli.load_scenario_file(cli.bundled_scenario_path()).scenario
+    sc = Scenario.from_values(dict(city.values(), n_icu=40_000.0))
+    dc = constants.derive_constants(sc)
+    in_sigma = constants.check_sigma(sc, dc).in_sigma
+    phi_plus = sc.capacity.phi_plus()
+    return [workloads.SimCase(f"in_step({on}, {em})", sc,
+                              controller.ControllerParams(eps_plus=phi_plus - on, eps_minus=em,
+                                                          phi_plus=phi_plus),
+                              simulator.SimConfig(), dc, in_sigma)
+            for on in IN_STEP_ON for em in IN_STEP_EPS_MINUS]
 
 
 def side_digests() -> dict[str, str]:
@@ -49,18 +78,21 @@ def side_digests() -> dict[str, str]:
     out = {}
     for name in WORKLOADS:
         h = hashlib.sha256()
-        for seed in SEEDS:
-            inputs = workloads.generate(name, seed)
-            if name == "certify":
-                for sc in workloads.certify_cases(inputs):
-                    res = workloads.certify_op(sc)
-                    parts = [res.dc, res.in_sigma_rob, res.cp, res.cz, repr(res.error)]
-                    if res.cp is not None and res.error is None:
-                        # the arguments certify_op passes
-                        parts.append(analysis.robustness_probe(sc, res.cp, delta=1e-3, samples=256))
-                    h.update(repr(parts).encode())
-                continue
-            for case in workloads.sim_cases(name, inputs):
+        if name == "certify":
+            scenarios = [sc for seed in SEEDS
+                         for sc in workloads.certify_cases(workloads.generate(name, seed))]
+            for sc in scenarios:
+                res = workloads.certify_op(sc)
+                parts = [res.dc, res.in_sigma_rob, res.cp, res.cz, repr(res.error)]
+                if res.cp is not None and res.error is None:
+                    # the arguments certify_op passes
+                    parts.append(analysis.robustness_probe(sc, res.cp, delta=1e-3, samples=256))
+                h.update(repr(parts).encode())
+        else:
+            cases = in_step_cases() if name == "in_step" else [
+                case for seed in SEEDS
+                for case in workloads.sim_cases(name, workloads.generate(name, seed))]
+            for case in cases:
                 traj, report, validation, texts = workloads.sim_op(case)
                 for part in ([(s.t, *s.as_tuple()) for s in traj.samples], traj.events,
                              report, validation):
