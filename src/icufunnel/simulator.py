@@ -11,6 +11,11 @@ at an extremum (_extrema). The first crossing, between the step's start
 and the first such extremum or else the knot, is located by
 controller._bisect on the dense output, to within event_time_tol or to
 adjacent floats, whichever comes first (so any positive tolerance ends).
+_switch_time reads the step's I_S polynomial into Python floats once. Most
+steps are settled on the polynomial's size alone, before its Bernstein hull
+is built; a bisection midpoint is decided on the polynomial's Horner value,
+and only one within rounding of the threshold on _dense_at's, so every
+decision, and so every located time, is the one _dense_at gives.
 The solve stops at the first step that switches; the phase is truncated
 at the bracket's crossed end, the mode flips, and integration restarts.
 Step sizes are chosen against the horizon as the solver's end point, so
@@ -155,11 +160,15 @@ def __getattr__(name: str):
         takes about a quarter off a 1,000-day closed-loop run. Python
         scalars replace numpy ones only where they give the same bits:
         math.sqrt(err.dot(err)) is np.linalg.norm's own path, then
-        math.nextafter and abs. nfev still counts every evaluation. The one
-        departure: a nan step size (from a nan start derivative) ends as
-        TOO_SMALL_STEP, where scipy's loop would spin on it forever. A scipy
-        that steps differently breaks TestPhaseSolves, TestDenseOutput and
-        TestStepReplica, which compare against plain RK45.
+        math.nextafter and abs. The stage, y_new, scale and error arrays are
+        formed in place (d = K_s.dot(a); d *= h; d += y), which gives
+        scipy's bits since IEEE + and * commute, and |y| is carried over
+        from the previous accepted step. nfev still counts every
+        evaluation. The one departure: a nan step size (from a nan start
+        derivative) ends as TOO_SMALL_STEP, where scipy's loop would spin on
+        it forever. A scipy that steps differently breaks TestPhaseSolves,
+        TestDenseOutput and TestStepReplica, which compare against plain
+        RK45.
         """
 
         def __init__(self, fun, t0, y0, t_bound, *, guard, **options):
@@ -169,6 +178,7 @@ def __getattr__(name: str):
             K = self.K  # rk_step's operands, as views of the stage rows
             self.stages = [(self.C[s], K[:s].T, self.A[s, :s]) for s in range(1, self.n_stages)]
             self.K_head = K[:-1].T
+            self.abs_y = np.abs(self.y)  # |y| of the step's start, carried from step to step
 
         def _step_impl(self):
             t, y, K, rhs, direction = self.t, self.y, self.K, self.rhs, self.direction
@@ -187,12 +197,22 @@ def __getattr__(name: str):
                 h = t_new - t
                 h_abs = abs(h)
                 for s, (c, K_s, a) in enumerate(self.stages, 1):
-                    K[s] = rhs(t + c * h, y + K_s.dot(a) * h)
-                y_new = y + h * self.K_head.dot(self.B)
+                    d = K_s.dot(a)
+                    d *= h
+                    d += y
+                    K[s] = rhs(t + c * h, d)
+                y_new = self.K_head.dot(self.B)
+                y_new *= h
+                y_new += y
                 K[-1] = f_new = rhs(t + h, y_new)
                 self.nfev += self.n_stages
-                scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-                err = K.T.dot(self.E) * h / scale
+                abs_new = np.abs(y_new)
+                scale = np.maximum(self.abs_y, abs_new)
+                scale *= self.rtol
+                scale += self.atol
+                err = K.T.dot(self.E)
+                err *= h
+                err /= scale
                 error_norm = math.sqrt(err.dot(err)) / self.n ** 0.5
                 if error_norm < 1:
                     break
@@ -205,6 +225,7 @@ def __getattr__(name: str):
             self.y_old = y
             self.t = t_new
             self.y = y_new
+            self.abs_y = abs_new
             self.f = f_new
             if self.guard(float(t_new), y_new, _Step(t, h, y, K.T.dot(self.P))):
                 self.status = "finished"
@@ -600,11 +621,13 @@ def _switch_time(dense, t_new: float, y_new, u: int, cp: ControllerParams,
     knot, tested on the solver's own state y_new, or at an extremum of its
     I_S interpolant (see _extrema). The degree-4 Bernstein coefficients of
     that polynomial bound it on the step, and their differences bound its
-    slope. Two filters skip the root solve, each widened by far more than
-    the rounding of _dense_at, that of x included, so it may let a step
+    slope; none exceeds size = |a1| + |a2| + |a3| + |a4| in magnitude. Two
+    filters skip the root solve, each widened by slack, far more than the
+    rounding of _dense_at, that of x included, so it may let a step
     through but never drops one that needs it:
     - the knot does not fire and the hull stays clear of the threshold, so
-      no time in the step reaches it: None;
+      no time in the step reaches it: None. A step clear of it by h * size
+      is settled before the hull is built;
     - the knot fires and the slope keeps one sign, so the crossed times are
       one interval ending at the knot.
     On the benchmark inputs every step is settled by one of the two.
@@ -614,22 +637,41 @@ def _switch_time(dense, t_new: float, y_new, u: int, cp: ControllerParams,
     stays clear, so the crossed times up to it are one interval, and
     controller._bisect locates its start from t_old, to within tol or to
     adjacent floats. The result is the bracket's crossed end.
+
+    Whether the relay leaves mode u at a time t (an extremum or a midpoint)
+    is decided on I_S by Horner's rule on Python floats, with _dense_at's x.
+    That value and _dense_at's differ by a few ulps of |y0| + h * size,
+    about a thousandth of slack, so a Horner value more than slack from the
+    threshold is on the same side as _dense_at's; only one within slack
+    calls _dense_at, and every decision is the one _dense_at gives. cp is
+    ordered, as simulate requires, so while intervening the relay leaves
+    mode 1 exactly where I_S is at or below the off threshold.
     """
+    a1, a2, a3, a4 = dense.Q[2].tolist()
+    h, t_old, y0 = float(dense.h), float(dense.t_old), dense.y_old.item(2)
+    size = abs(a1) + abs(a2) + abs(a3) + abs(a4)
+    slack = 1e-12 * (abs(y0) + (abs(t_old) + h) * size)
+    threshold = cp.on_threshold() if u == 0 else cp.off_threshold()
+    at_knot = control_update(y_new.item(2), u, cp) != u
+    # no Bernstein coefficient exceeds size, so the hull test below would settle these too
+    if not at_knot and (y0 + h * size + slack < threshold if u == 0
+                        else y0 - h * size - slack > threshold):
+        return None
+
     def crossed(t):
+        x = (t - t_old) / h  # _dense_at's x
+        gap = y0 + h * (x * (a1 + x * (a2 + x * (a3 + x * a4)))) - threshold
+        if abs(gap) > slack:  # Horner and _dense_at agree on the side
+            return (gap > 0.0) == (u == 0)
         return control_update(float(_dense_at(dense, t)[2]), u, cp) != u
 
-    a1, a2, a3, a4 = dense.Q[2].tolist()
-    h, t_old, y0 = float(dense.h), float(dense.t_old), float(dense.y_old[2])
     hull = (0.0, a1 / 4, a1 / 2 + a2 / 6, 0.75 * a1 + a2 / 2 + a3 / 4, a1 + a2 + a3 + a4)
-    size = abs(a1) + abs(a2) + abs(a3) + abs(a4)
-    at_knot = control_update(y_new[2], u, cp) != u
     if at_knot:
         slope = [b - a for a, b in zip(hull, hull[1:])]
         settled = min(slope) > 1e-12 * size or max(slope) < -1e-12 * size
     else:
-        slack = 1e-12 * (abs(y0) + (abs(t_old) + h) * size)
-        settled = (y0 + h * max(hull) + slack < cp.on_threshold() if u == 0
-                   else y0 + h * min(hull) - slack > cp.off_threshold())
+        settled = (y0 + h * max(hull) + slack < threshold if u == 0
+                   else y0 + h * min(hull) - slack > threshold)
     end = t_new if at_knot else None
     if not settled:
         end = next((t for t in _extrema(dense) if crossed(t)), end)

@@ -345,11 +345,12 @@ _INSIDE_ONE_STEP = dict(n_icu=40_000.0, on=611.758, eps_minus=1.0)
 
 
 def _relay_run(n_icu, on, eps_minus):
-    """The city with n_icu beds under the pair (on, eps_minus), at [sim] defaults."""
+    """simulate's (trajectory, report) for the city with n_icu beds under the
+    pair (on, eps_minus) at [sim] defaults, and the pair."""
     sc = make_scenario(n_icu=n_icu)
     phi_plus = sc.capacity.phi_plus()
     cp = ControllerParams(eps_plus=phi_plus - on, eps_minus=eps_minus, phi_plus=phi_plus)
-    return simulate(sc, cp, SimConfig())[0], cp
+    return *simulate(sc, cp, SimConfig()), cp
 
 
 def _poly_step(t_old, h, y0, amp, sign, roots, n):
@@ -379,7 +380,7 @@ class TestInStepGuard:
     """The armed guard is tested on each step's whole interpolant, not only at its knots."""
 
     def test_switch_on_inside_one_step(self):
-        traj, _ = _relay_run(**_INSIDE_ONE_STEP)
+        traj, _, _ = _relay_run(**_INSIDE_ONE_STEP)
         assert traj.events[0].u_new == 1
         assert traj.events[0].t < 36.1
 
@@ -390,7 +391,7 @@ class TestInStepGuard:
     def test_relay_rule_holds_inside_every_piece(self, n_icu, on, eps_minus):
         # relaxed below the on threshold, intervening above the off threshold,
         # at every sample strictly between two switches
-        traj, cp = _relay_run(n_icu, on, eps_minus)
+        traj, _, cp = _relay_run(n_icu, on, eps_minus)
         t, I_S = traj.samples.t, traj.samples.y[2]
         for start, end, u in traj._phases():
             inside = I_S[(start < t) & (t < end)]
@@ -414,6 +415,39 @@ class TestInStepGuard:
         assert simulator._switch_time(step, 15.0, simulator._dense_at(step, 15.0), 0, cp,
                                       1e-9) < 11.5
         assert _bisect(10.0, 15.0, fires, 1e-9)[1] > 12.5  # the whole step: the later crossing
+
+    # Monotone steps whose armed threshold is _dense_at's I_S at the first
+    # bisection midpoint; there the Horner form of the same polynomial rounds
+    # to the other side of it, so only the exact evaluation decides that midpoint.
+    @pytest.mark.parametrize("t_old, h, y0, u", [(78.5, 3.0, 90.0, 0), (67.0, 7.0, 92.0, 1)],
+                             ids=["rising_u0", "falling_u1"])
+    def test_threshold_at_a_midpoint_is_decided_by_the_exact_value(self, t_old, h, y0, u):
+        step = _poly_step(t_old, h, y0, 0.1, 1.0 if u == 0 else -1.0, [-5, 15, 30], 10)
+        t_new = t_old + h
+        mid = 0.5 * (t_old + t_new)  # _bisect's first midpoint
+        level = float(simulator._dense_at(step, mid)[2])
+        cp = (ControllerParams(eps_plus=4.0, eps_minus=1.0, phi_plus=level + 4.0) if u == 0
+              else ControllerParams(eps_plus=1.0, eps_minus=level, phi_plus=200.0))
+        assert (cp.on_threshold() if u == 0 else cp.off_threshold()) == level
+        a1, a2, a3, a4 = step.Q[2].tolist()
+        x = (mid - t_old) / h
+        horner = y0 + h * (x * (a1 + x * (a2 + x * (a3 + x * a4))))
+        assert (horner < level) if u == 0 else (horner > level)
+
+        def fires(t):
+            return control_update(float(simulator._dense_at(step, t)[2]), u, cp) != u
+
+        dense_at = simulator._dense_at
+        exact = []
+
+        def spy(dense, t):
+            exact.append(t)
+            return dense_at(dense, t)
+
+        with mock.patch.object(simulator, "_dense_at", spy):
+            t_sw = simulator._switch_time(step, t_new, dense_at(step, t_new), u, cp, 1e-9)
+        assert mid in exact
+        assert t_sw == _bisect(t_old, t_new, fires, 1e-9)[1] == mid
 
     # Hand-made steps whose slope has its roots on the points of the test
     # grid (or outside [0, 1]), so the grid holds every extremum of I_S up
@@ -480,6 +514,20 @@ class TestInStepGuard:
             assert fires(t_sw)
             if past.max() > margin:
                 assert t_sw <= ts[np.argmax(past > margin)]
+
+
+class TestOutputTypes:
+    @pytest.mark.parametrize("run", ["run8", "run_open0", "inside_one_step"])
+    def test_event_times_and_report_floats_are_python_floats(self, request, run):
+        # a numpy scalar would print differently in the CSV and report texts
+        if run == "inside_one_step":
+            traj, rep, _ = _relay_run(**_INSIDE_ONE_STEP)
+        else:
+            traj, rep, _ = request.getfixturevalue(run)
+        floats = [getattr(rep, f.name) for f in dataclasses.fields(rep) if f.type == "float"]
+        assert len(floats) == 6
+        assert traj.events or run == "run_open0"
+        assert all(type(x) is float for x in [*floats, *(ev.t for ev in traj.events)])
 
 
 class TestDenseOutput:
