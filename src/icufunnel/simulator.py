@@ -11,11 +11,11 @@ at an extremum (_extrema). The first crossing, between the step's start
 and the first such extremum or else the knot, is located by
 controller._bisect on the dense output, to within event_time_tol or to
 adjacent floats, whichever comes first (so any positive tolerance ends).
-_switch_time reads the step's I_S polynomial into Python floats once. Most
-steps are settled on the polynomial's size alone, before its Bernstein hull
-is built; a bisection midpoint is decided on the polynomial's Horner value,
-and only one within rounding of the threshold on _dense_at's, so every
-decision, and so every located time, is the one _dense_at gives.
+_switch_time reads the step's I_S polynomial into Python floats once. A
+step whose knot does not fire is settled as no switch when the
+polynomial's size keeps it clear of the threshold; a bisection midpoint is decided on the polynomial's Horner value, and only
+one within rounding of the threshold on _dense_at's, so every decision,
+and so every located time, is the one _dense_at gives.
 The solve stops at the first step that switches; the phase is truncated
 at the bracket's crossed end, the mode flips, and integration restarts.
 Step sizes are chosen against the horizon as the solver's end point, so
@@ -160,15 +160,11 @@ def __getattr__(name: str):
         takes about a quarter off a 1,000-day closed-loop run. Python
         scalars replace numpy ones only where they give the same bits:
         math.sqrt(err.dot(err)) is np.linalg.norm's own path, then
-        math.nextafter and abs. The stage, y_new, scale and error arrays are
-        formed in place (d = K_s.dot(a); d *= h; d += y), which gives
-        scipy's bits since IEEE + and * commute, and |y| is carried over
-        from the previous accepted step. nfev still counts every
-        evaluation. The one departure: a nan step size (from a nan start
-        derivative) ends as TOO_SMALL_STEP, where scipy's loop would spin on
-        it forever. A scipy that steps differently breaks TestPhaseSolves,
-        TestDenseOutput and TestStepReplica, which compare against plain
-        RK45.
+        math.nextafter and abs. nfev still counts every evaluation. The one
+        departure: a nan step size (from a nan start derivative) ends as
+        TOO_SMALL_STEP, where scipy's loop would spin on it forever. A scipy
+        that steps differently breaks TestPhaseSolves, TestDenseOutput and
+        TestStepReplica, which compare against plain RK45.
         """
 
         def __init__(self, fun, t0, y0, t_bound, *, guard, **options):
@@ -178,7 +174,6 @@ def __getattr__(name: str):
             K = self.K  # rk_step's operands, as views of the stage rows
             self.stages = [(self.C[s], K[:s].T, self.A[s, :s]) for s in range(1, self.n_stages)]
             self.K_head = K[:-1].T
-            self.abs_y = np.abs(self.y)  # |y| of the step's start, carried from step to step
 
         def _step_impl(self):
             t, y, K, rhs, direction = self.t, self.y, self.K, self.rhs, self.direction
@@ -197,22 +192,12 @@ def __getattr__(name: str):
                 h = t_new - t
                 h_abs = abs(h)
                 for s, (c, K_s, a) in enumerate(self.stages, 1):
-                    d = K_s.dot(a)
-                    d *= h
-                    d += y
-                    K[s] = rhs(t + c * h, d)
-                y_new = self.K_head.dot(self.B)
-                y_new *= h
-                y_new += y
+                    K[s] = rhs(t + c * h, y + K_s.dot(a) * h)
+                y_new = y + h * self.K_head.dot(self.B)
                 K[-1] = f_new = rhs(t + h, y_new)
                 self.nfev += self.n_stages
-                abs_new = np.abs(y_new)
-                scale = np.maximum(self.abs_y, abs_new)
-                scale *= self.rtol
-                scale += self.atol
-                err = K.T.dot(self.E)
-                err *= h
-                err /= scale
+                scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+                err = K.T.dot(self.E) * h / scale
                 error_norm = math.sqrt(err.dot(err)) / self.n ** 0.5
                 if error_norm < 1:
                     break
@@ -225,7 +210,6 @@ def __getattr__(name: str):
             self.y_old = y
             self.t = t_new
             self.y = y_new
-            self.abs_y = abs_new
             self.f = f_new
             if self.guard(float(t_new), y_new, _Step(t, h, y, K.T.dot(self.P))):
                 self.status = "finished"
@@ -622,15 +606,15 @@ def _switch_time(dense, t_new: float, y_new, u: int, cp: ControllerParams,
     I_S interpolant (see _extrema). The degree-4 Bernstein coefficients of
     that polynomial bound it on the step, and their differences bound its
     slope; none exceeds size = |a1| + |a2| + |a3| + |a4| in magnitude. Two
-    filters skip the root solve, each widened by slack, far more than the
-    rounding of _dense_at, that of x included, so it may let a step
-    through but never drops one that needs it:
-    - the knot does not fire and the hull stays clear of the threshold, so
-      no time in the step reaches it: None. A step clear of it by h * size
-      is settled before the hull is built;
+    filters skip the root solve, each widened by far more than the rounding
+    of _dense_at, that of x included, so it may let a step through but
+    never drops one that needs it:
+    - the knot does not fire and I_S stays within y0 +- h * size, clear of
+      the threshold by slack, so no time in the step reaches it: None;
     - the knot fires and the slope keeps one sign, so the crossed times are
       one interval ending at the knot.
-    On the benchmark inputs every step is settled by one of the two.
+    On the closed_loop inputs of perfbench seeds 1-3 all but 37 of 69,457
+    steps are settled by one of the two.
     Otherwise the extrema are tried in order, and the first where the relay
     leaves mode u ends the bracket; with none, the knot does, and a knot
     that does not fire leaves None. Every extremum before the bracket's end
@@ -653,10 +637,15 @@ def _switch_time(dense, t_new: float, y_new, u: int, cp: ControllerParams,
     slack = 1e-12 * (abs(y0) + (abs(t_old) + h) * size)
     threshold = cp.on_threshold() if u == 0 else cp.off_threshold()
     at_knot = control_update(y_new.item(2), u, cp) != u
-    # no Bernstein coefficient exceeds size, so the hull test below would settle these too
-    if not at_knot and (y0 + h * size + slack < threshold if u == 0
-                        else y0 - h * size - slack > threshold):
+    if at_knot:
+        hull = (0.0, a1 / 4, a1 / 2 + a2 / 6, 0.75 * a1 + a2 / 2 + a3 / 4, a1 + a2 + a3 + a4)
+        slope = [b - a for a, b in zip(hull, hull[1:])]
+        settled = min(slope) > 1e-12 * size or max(slope) < -1e-12 * size
+    elif (y0 + h * size + slack < threshold if u == 0
+          else y0 - h * size - slack > threshold):
         return None
+    else:
+        settled = False
 
     def crossed(t):
         x = (t - t_old) / h  # _dense_at's x
@@ -665,13 +654,6 @@ def _switch_time(dense, t_new: float, y_new, u: int, cp: ControllerParams,
             return (gap > 0.0) == (u == 0)
         return control_update(float(_dense_at(dense, t)[2]), u, cp) != u
 
-    hull = (0.0, a1 / 4, a1 / 2 + a2 / 6, 0.75 * a1 + a2 / 2 + a3 / 4, a1 + a2 + a3 + a4)
-    if at_knot:
-        slope = [b - a for a, b in zip(hull, hull[1:])]
-        settled = min(slope) > 1e-12 * size or max(slope) < -1e-12 * size
-    else:
-        settled = (y0 + h * max(hull) + slack < threshold if u == 0
-                   else y0 + h * min(hull) - slack > threshold)
     end = t_new if at_knot else None
     if not settled:
         end = next((t for t in _extrema(dense) if crossed(t)), end)

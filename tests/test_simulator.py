@@ -345,12 +345,11 @@ _INSIDE_ONE_STEP = dict(n_icu=40_000.0, on=611.758, eps_minus=1.0)
 
 
 def _relay_run(n_icu, on, eps_minus):
-    """simulate's (trajectory, report) for the city with n_icu beds under the
-    pair (on, eps_minus) at [sim] defaults, and the pair."""
+    """The city with n_icu beds under the pair (on, eps_minus), at [sim] defaults."""
     sc = make_scenario(n_icu=n_icu)
     phi_plus = sc.capacity.phi_plus()
     cp = ControllerParams(eps_plus=phi_plus - on, eps_minus=eps_minus, phi_plus=phi_plus)
-    return *simulate(sc, cp, SimConfig()), cp
+    return simulate(sc, cp, SimConfig())[0], cp
 
 
 def _poly_step(t_old, h, y0, amp, sign, roots, n):
@@ -380,7 +379,7 @@ class TestInStepGuard:
     """The armed guard is tested on each step's whole interpolant, not only at its knots."""
 
     def test_switch_on_inside_one_step(self):
-        traj, _, _ = _relay_run(**_INSIDE_ONE_STEP)
+        traj, _ = _relay_run(**_INSIDE_ONE_STEP)
         assert traj.events[0].u_new == 1
         assert traj.events[0].t < 36.1
 
@@ -391,7 +390,7 @@ class TestInStepGuard:
     def test_relay_rule_holds_inside_every_piece(self, n_icu, on, eps_minus):
         # relaxed below the on threshold, intervening above the off threshold,
         # at every sample strictly between two switches
-        traj, _, cp = _relay_run(n_icu, on, eps_minus)
+        traj, cp = _relay_run(n_icu, on, eps_minus)
         t, I_S = traj.samples.t, traj.samples.y[2]
         for start, end, u in traj._phases():
             inside = I_S[(start < t) & (t < end)]
@@ -521,7 +520,11 @@ class TestOutputTypes:
     def test_event_times_and_report_floats_are_python_floats(self, request, run):
         # a numpy scalar would print differently in the CSV and report texts
         if run == "inside_one_step":
-            traj, rep, _ = _relay_run(**_INSIDE_ONE_STEP)
+            sc = make_scenario(n_icu=_INSIDE_ONE_STEP["n_icu"])
+            phi_plus = sc.capacity.phi_plus()
+            cp = ControllerParams(eps_plus=phi_plus - _INSIDE_ONE_STEP["on"],
+                                  eps_minus=_INSIDE_ONE_STEP["eps_minus"], phi_plus=phi_plus)
+            traj, rep = simulate(sc, cp, SimConfig())
         else:
             traj, rep, _ = request.getfixturevalue(run)
         floats = [getattr(rep, f.name) for f in dataclasses.fields(rep) if f.type == "float"]
