@@ -7,15 +7,18 @@ while relaxed, the off threshold (eps_minus) while intervening.
 Whether and where the relay switches is decided once per accepted step,
 by _switch_time, as the solver accepts it: the armed guard fires at the
 step's knot, or inside it, where its I_S interpolant reaches the threshold
-at an extremum (_extrema). The first crossing, between the step's start
-and the first such extremum or else the knot, is located by
-controller._bisect on the dense output, to within event_time_tol or to
-adjacent floats, whichever comes first (so any positive tolerance ends).
-_switch_time reads the step's I_S polynomial into Python floats once. A
-step whose knot does not fire is settled as no switch when the
-polynomial's size keeps it clear of the threshold; a bisection midpoint is decided on the polynomial's Horner value, and only
-one within rounding of the threshold on _dense_at's, so every decision,
-and so every located time, is the one _dense_at gives.
+at an extremum (_extrema, the real roots of the slope in the step). The
+first crossing, between the step's start and the first such extremum or
+else the knot, is located by controller._bisect on the dense output, to
+within event_time_tol or to adjacent floats, whichever comes first (so any
+positive tolerance ends). _switch_time reads the step's I_S polynomial
+into Python floats once, and two bounds of one kind, each by the size of
+the polynomial's coefficients, skip the root solve: a step whose knot does
+not fire is settled as no switch when its values stay clear of the
+threshold, and one whose knot fires ends at the knot when its slope keeps
+one sign. A bisection midpoint is decided on the polynomial's Horner
+value, and only one within rounding of the threshold on _dense_at's, so
+every decision, and so every located time, is the one _dense_at gives.
 The solve stops at the first step that switches; the phase is truncated
 at the bracket's crossed end, the mode flips, and integration restarts.
 Step sizes are chosen against the horizon as the solver's end point, so
@@ -585,14 +588,19 @@ def _extrema(dense) -> list[float]:
 
     On the step, I_S = y_old[2] + h * (a1 x + a2 x**2 + a3 x**3 + a4 x**4)
     for x = (t - t_old) / h in [0, 1], with (a1, a2, a3, a4) = Q[2]; its
-    extrema are the roots of the derivative cubic. Each root with real part
-    x in (0, 1) gives t = t_old + x * h: the real part of a complex pair
-    too, since a near-double root may come out complex.
+    extrema are where the slope cubic changes sign. Each real root x in
+    (0, 1) gives t = t_old + x * h, and every complex root is dropped: a
+    complex pair is no sign change of the slope, nor is a double root. Two
+    real roots close enough to come out complex (apart by about sqrt(eps)
+    or less, eps the machine epsilon) enclose a bump of I_S of the order of
+    h * size * eps**1.5 (size = |a1| + |a2| + |a3| + |a4|), far below
+    _switch_time's slack, so no crossing it resolves is lost.
     """
     a1, a2, a3, a4 = dense.Q[2].tolist()
     h, t_old = float(dense.h), float(dense.t_old)
     roots = np.roots((4 * a4, 3 * a3, 2 * a2, a1)).tolist()
-    return [t_old + x * h for x in sorted(r.real for r in roots if 0.0 < r.real < 1.0)]
+    return [t_old + x * h
+            for x in sorted(r.real for r in roots if r.imag == 0.0 and 0.0 < r.real < 1.0)]
 
 
 def _switch_time(dense, t_new: float, y_new, u: int, cp: ControllerParams,
@@ -603,16 +611,18 @@ def _switch_time(dense, t_new: float, y_new, u: int, cp: ControllerParams,
     from below) and the off threshold while intervening (u = 1, from
     above); the step starts where the relay holds u. The step fires at its
     knot, tested on the solver's own state y_new, or at an extremum of its
-    I_S interpolant (see _extrema). The degree-4 Bernstein coefficients of
-    that polynomial bound it on the step, and their differences bound its
-    slope; none exceeds size = |a1| + |a2| + |a3| + |a4| in magnitude. Two
-    filters skip the root solve, each widened by far more than the rounding
-    of _dense_at, that of x included, so it may let a step through but
-    never drops one that needs it:
-    - the knot does not fire and I_S stays within y0 +- h * size, clear of
-      the threshold by slack, so no time in the step reaches it: None;
-    - the knot fires and the slope keeps one sign, so the crossed times are
-      one interval ending at the knot.
+    I_S interpolant (see _extrema). Two filters skip the root solve, each a
+    triangle-inequality bound on the coefficients a1 .. a4 of that
+    polynomial, widened by far more than the rounding of _dense_at, that of
+    x included, so it may let a step through but never drops one that
+    needs it:
+    - the knot does not fire and I_S stays within y0 +- h * size, with
+      size = |a1| + |a2| + |a3| + |a4|, clear of the threshold by slack, so
+      no time in the step reaches it: None;
+    - the knot fires and |a1| > 2|a2| + 3|a3| + 4|a4| + 1e-12 * size, so
+      the slope a1 + 2 a2 x + 3 a3 x**2 + 4 a4 x**3 keeps the sign of a1 on
+      [0, 1]: the step is monotone and the crossed times are one interval
+      ending at the knot.
     On the closed_loop inputs of perfbench seeds 1-3 all but 37 of 69,457
     steps are settled by one of the two.
     Otherwise the extrema are tried in order, and the first where the relay
@@ -637,15 +647,9 @@ def _switch_time(dense, t_new: float, y_new, u: int, cp: ControllerParams,
     slack = 1e-12 * (abs(y0) + (abs(t_old) + h) * size)
     threshold = cp.on_threshold() if u == 0 else cp.off_threshold()
     at_knot = control_update(y_new.item(2), u, cp) != u
-    if at_knot:
-        hull = (0.0, a1 / 4, a1 / 2 + a2 / 6, 0.75 * a1 + a2 / 2 + a3 / 4, a1 + a2 + a3 + a4)
-        slope = [b - a for a, b in zip(hull, hull[1:])]
-        settled = min(slope) > 1e-12 * size or max(slope) < -1e-12 * size
-    elif (y0 + h * size + slack < threshold if u == 0
-          else y0 - h * size - slack > threshold):
+    if not at_knot and (y0 + h * size + slack < threshold if u == 0
+                        else y0 - h * size - slack > threshold):
         return None
-    else:
-        settled = False
 
     def crossed(t):
         x = (t - t_old) / h  # _dense_at's x
@@ -655,7 +659,8 @@ def _switch_time(dense, t_new: float, y_new, u: int, cp: ControllerParams,
         return control_update(float(_dense_at(dense, t)[2]), u, cp) != u
 
     end = t_new if at_knot else None
-    if not settled:
+    # a step that fires at its knot and whose slope keeps a1's sign ends there
+    if not (at_knot and abs(a1) > 2 * abs(a2) + 3 * abs(a3) + 4 * abs(a4) + 1e-12 * size):
         end = next((t for t in _extrema(dense) if crossed(t)), end)
     return None if end is None else _bisect(t_old, end, crossed, tol)[1]
 

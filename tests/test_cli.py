@@ -302,6 +302,12 @@ class TestFeasibleCommand:
         path = write(tmp_path, scenario_file_text(sc))
         assert main(["feasible", path]) == 1
         assert "infeasible: A3" in capsys.readouterr().err
+        # every group holds, but a one-point grid misses q(eps) < phi_plus
+        assert main(["feasible", BUNDLED, "--grid", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("infeasible: no grid point with q(eps) < phi_plus "
+                                "(numerical trouble?)\n")
 
     # 2**63 used to wrap np.arange to an empty grid and report infeasible
     @pytest.mark.parametrize("grid", [10**12, 2**63])

@@ -269,6 +269,11 @@ class TestFindFeasible:
     def test_degenerate_grids_rejected(self, scenario, dc):
         with pytest.raises(ValueError, match="at least one"):
             find_feasible_eps(scenario, dc, grid=0)
+        # one point, midway across (M2/M1, phi_plus), where q(eps) >= phi_plus
+        with pytest.raises(InfeasibleError) as exc:
+            find_feasible_eps(scenario, dc, grid=1)
+        assert str(exc.value) == ("infeasible: no grid point with q(eps) < phi_plus "
+                                  "(numerical trouble?)")
 
     @pytest.mark.parametrize("scan", [find_feasible_eps, q_monotonicity_check])
     def test_int_grid_above_the_cap_rejected(self, scenario, dc, scan):

@@ -357,8 +357,9 @@ def _poly_step(t_old, h, y0, amp, sign, roots, n):
 
     P(0) = 0, the slope of P is sign * prod(x - r / n for r in roots), and
     P is scaled so that |h * P| reaches amp * y0 at most on the n-point grid.
+    A root may be complex when its conjugate is a root too.
     """
-    dq = sign * np.atleast_1d(np.poly(np.array(roots, float) / n))[::-1]  # lowest power first
+    dq = sign * np.atleast_1d(np.poly(np.asarray(roots) / n))[::-1]  # lowest power first
     a = np.zeros(4)
     a[:len(dq)] = dq / np.arange(1, len(dq) + 1)
     x = np.arange(n + 1) / n
@@ -415,6 +416,44 @@ class TestInStepGuard:
                                       1e-9) < 11.5
         assert _bisect(10.0, 15.0, fires, 1e-9)[1] > 12.5  # the whole step: the later crossing
 
+    def test_extrema_drop_a_complex_pair_inside_the_step(self):
+        # the slope roots of the (10, 20) city run's step from t = 234.27...: a
+        # complex pair 0.74 +- 60.6i, whose real part lies inside the step, and
+        # -28.26; I_S is monotone there, so the step has no extremum
+        step = _poly_step(234.2748777885634, 0.3783955781377415, 20.0, 0.01, -1.0,
+                          [0.74 + 60.6j, 0.74 - 60.6j, -28.26], 1)
+        a1, a2, a3, a4 = step.Q[2].tolist()
+        roots = np.roots((4 * a4, 3 * a3, 2 * a2, a1))
+        assert sum(r.imag != 0.0 and 0.0 < r.real < 1.0 for r in roots.tolist()) == 2
+        assert simulator._extrema(step) == []
+
+    @pytest.mark.parametrize("pair", ["cp8", "cp20"])
+    def test_filters_only_skip_work_on_the_reference_runs(self, request, monkeypatch, scenario,
+                                                          pair):
+        # every step of the run, against the filter-free switch: the first
+        # extremum where the relay leaves u, else the knot if it fires, then
+        # the bisection from the step's start
+        cp = request.getfixturevalue(pair)
+        switch_time = simulator._switch_time
+        calls = []
+
+        def spy(*args):
+            calls.append((args, switch_time(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(simulator, "_switch_time", spy)
+        simulate(scenario, cp, SimConfig())
+        assert len(calls) > 1000
+        for (step, t_new, y_new, u, _, tol), t_sw in calls:
+            def fires(t):
+                return control_update(float(simulator._dense_at(step, t)[2]), u, cp) != u
+
+            at_knot = control_update(y_new.item(2), u, cp) != u
+            end = next((t for t in simulator._extrema(step) if fires(t)),
+                       t_new if at_knot else None)
+            t_old = float(step.t_old)
+            assert t_sw == (None if end is None else _bisect(t_old, end, fires, tol)[1]), t_old
+
     # Monotone steps whose armed threshold is _dense_at's I_S at the first
     # bisection midpoint; there the Horner form of the same polynomial rounds
     # to the other side of it, so only the exact evaluation decides that midpoint.
@@ -455,7 +494,7 @@ class TestInStepGuard:
     # value at one grid point.
     @settings(max_examples=300, deadline=None)
     # flat at the start (a double root at x = 0), where the grid reaches
-    # the threshold only by rounding: the hull must not clear it
+    # the threshold only by rounding: the size bound must not clear it
     @example(t_old=9.0, h=23.220452752825675, y0=1.0, amp=0.5, sign=-1.0, roots=[0, 0, -32],
              u=1, level=None, offset=0.0)
     @given(t_old=st.floats(0.0, 1000.0), h=st.floats(1e-3, 50.0), y0=st.floats(1.0, 1e4),
