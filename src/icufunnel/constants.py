@@ -135,36 +135,45 @@ class Condition:
     vacuous: bool = False  # held only because a degenerate bound is infinite
 
 
+def _group_ok(conditions, prefix: str) -> bool:
+    """The one verdict rule over named conditions.
+
+    The group of conditions whose names start with prefix passes when it is
+    non-empty and every member passed. AssumptionReport and
+    controller.CZReport both read it.
+    """
+    group = [c for c in conditions if c.name.startswith(prefix)]
+    return bool(group) and all(c.passed for c in group)
+
+
 @dataclass(frozen=True)
 class AssumptionReport:
     """Verdicts for the admissibility conditions of one scenario.
 
     Reports from :func:`check_sigma` carry A1-A3 only; reports from
     :func:`check_sigma_rob` additionally carry A6 (and only those can
-    assert robust-set membership).
+    assert robust-set membership). Each group is judged by _group_ok: it
+    passes only when present and all its conditions passed, so an empty
+    or partial report certifies nothing.
     """
 
     conditions: tuple[Condition, ...] = field(default=())
 
-    def _group_ok(self, prefix: str) -> bool:
-        group = [c for c in self.conditions if c.name.startswith(prefix)]
-        return bool(group) and all(c.passed for c in group)
-
     @property
     def a1_ok(self) -> bool:
-        return self._group_ok("A1")
+        return _group_ok(self.conditions, "A1")
 
     @property
     def a2_ok(self) -> bool:
-        return self._group_ok("A2")
+        return _group_ok(self.conditions, "A2")
 
     @property
     def a3_ok(self) -> bool:
-        return self._group_ok("A3")
+        return _group_ok(self.conditions, "A3")
 
     @property
     def a6_ok(self) -> bool:
-        return self._group_ok("A6")
+        return _group_ok(self.conditions, "A6")
 
     @property
     def has_a6(self) -> bool:
@@ -176,7 +185,7 @@ class AssumptionReport:
 
     @property
     def in_sigma_rob(self) -> bool:
-        return self.in_sigma and self.has_a6 and self.a6_ok
+        return self.in_sigma and self.a6_ok
 
 
 @np.errstate(all="ignore")

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .constants import (
-    Condition, DerivedConstants, _div, _first_rows, _one_row, check_sigma,
+    Condition, DerivedConstants, _div, _first_rows, _group_ok, _one_row, check_sigma,
 )
 from .model import Scenario
 
@@ -88,12 +88,10 @@ class ControllerParams:
     phi_plus: float
 
     def __post_init__(self) -> None:
-        if not self.eps_plus > 0.0:
-            raise ValueError(f"eps_plus must be > 0, got {self.eps_plus!r}")
-        if not self.eps_minus > 0.0:
-            raise ValueError(f"eps_minus must be > 0, got {self.eps_minus!r}")
-        if not self.phi_plus > 0.0:
-            raise ValueError(f"phi_plus must be > 0, got {self.phi_plus!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not value > 0.0:
+                raise ValueError(f"{f.name} must be > 0, got {value!r}")
 
     def on_threshold(self) -> float:
         return self.phi_plus - self.eps_plus
@@ -146,36 +144,38 @@ class QMonotonicityReport:
 
 @dataclass(frozen=True)
 class CZReport:
-    """Membership report for one threshold pair: ordering, A4, A5."""
+    """Membership report for one threshold pair: ordering, A4, A5.
+
+    Each condition is judged by constants._group_ok, the rule of
+    AssumptionReport: it passes only when present and passed, and in_cz
+    needs all three, so an empty or partial report certifies nothing.
+    """
 
     conditions: tuple[Condition, ...] = field(default=())
 
-    def _get(self, name: str) -> Condition:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     @property
     def ordering_ok(self) -> bool:
-        return self._get("ordering").passed
+        return _group_ok(self.conditions, "ordering")
 
     @property
     def a4_ok(self) -> bool:
-        return self._get("A4").passed
+        return _group_ok(self.conditions, "A4")
 
     @property
     def a5_ok(self) -> bool:
-        return self._get("A5").passed
+        return _group_ok(self.conditions, "A5")
 
     @property
     def q_value(self) -> float:
-        """q evaluated at phi_plus - eps_plus (nan if q was undefined there)."""
-        return self._get("A5").lhs
+        """q evaluated at phi_plus - eps_plus.
+
+        nan if q was undefined there, or if the report has no A5.
+        """
+        return next((c.lhs for c in self.conditions if c.name == "A5"), math.nan)
 
     @property
     def in_cz(self) -> bool:
-        return all(c.passed for c in self.conditions)
+        return self.ordering_ok and self.a4_ok and self.a5_ok
 
 
 def control_update(I_S: float, u_prev: int, cp: ControllerParams) -> int:

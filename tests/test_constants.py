@@ -16,6 +16,7 @@ import scalar_reference
 from icufunnel import (
     AssumptionReport,
     ControllerParams,
+    CZReport,
     DerivationError,
     Scenario,
     check_sigma,
@@ -317,6 +318,9 @@ class TestMembership:
     def test_empty_report(self):
         rep = AssumptionReport()
         assert not rep.in_sigma and not rep.in_sigma_rob
+
+    def test_empty_cz_report(self):
+        assert not CZReport().in_cz
 
 
 class TestScaling:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from icufunnel import (
     ControllerParams,
+    CZReport,
     InfeasibleError,
     QEvalDomainError,
     QEvalRangeWarning,
@@ -82,13 +83,19 @@ class TestBisect:
 
 
 class TestControllerParams:
-    @pytest.mark.parametrize("kw", [
-        dict(eps_plus=0.0, eps_minus=8.0, phi_plus=44.0),
-        dict(eps_plus=10.0, eps_minus=-1.0, phi_plus=44.0),
-        dict(eps_plus=10.0, eps_minus=8.0, phi_plus=0.0),
-    ])
-    def test_positivity_enforced(self, kw):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("kw, message", [
+        (dict(eps_plus=0.0, eps_minus=8.0, phi_plus=44.0), r"^eps_plus must be > 0, got 0\.0$"),
+        (dict(eps_plus=10.0, eps_minus=-1.0, phi_plus=44.0),
+         r"^eps_minus must be > 0, got -1\.0$"),
+        (dict(eps_plus=10.0, eps_minus=8.0, phi_plus=0.0), r"^phi_plus must be > 0, got 0\.0$"),
+        (dict(eps_plus=math.nan, eps_minus=8.0, phi_plus=44.0),
+         r"^eps_plus must be > 0, got nan$"),
+        # the first failing field in declaration order is named
+        (dict(eps_plus=10.0, eps_minus=0.0, phi_plus=math.nan),
+         r"^eps_minus must be > 0, got 0\.0$"),
+    ], ids=["kw0", "kw1", "kw2", "kw3", "kw4"])
+    def test_positivity_enforced(self, kw, message):
+        with pytest.raises(ValueError, match=message):
             ControllerParams(**kw)
 
     def test_thresholds(self, pair8):
@@ -233,7 +240,17 @@ class TestInCZ:
         assert dc.M1 == 0.0
         cz = in_CZ(pair8, sc, dc)
         assert cz.ordering_ok and not cz.a4_ok and not cz.a5_ok
-        assert math.isnan(cz._get("A4").rhs) and math.isnan(cz.q_value)
+        a4 = next(c for c in cz.conditions if c.name == "A4")
+        assert math.isnan(a4.rhs) and math.isnan(cz.q_value)
+
+    def test_partial_report_certifies_nothing(self, scenario, dc, pair8):
+        # a report without A5 neither certifies the pair nor has a q value
+        ordering, a4, _ = in_CZ(pair8, scenario, dc).conditions
+        cz = CZReport(conditions=(ordering, a4))
+        assert ordering.passed and a4.passed
+        assert cz.ordering_ok and cz.a4_ok and not cz.a5_ok
+        assert not cz.in_cz
+        assert math.isnan(cz.q_value)
 
 
 class TestFindFeasible:

@@ -866,6 +866,20 @@ class TestValidation:
         rep = validate_trajectory(traj, scenario, dc, None)
         assert rep.all_ok
         assert rep.check("g").skipped and rep.check("h").skipped
+        assert rep.check("a").worst is None
+
+    @pytest.mark.xfail(strict=True, reason="check h's only slack, event_time_tol, "
+                       "does not cover the solver's error in the switch times")
+    def test_dwell_check_passes_a_pure_decay_phase(self, scenario, cp8):
+        # with no transmission the intervention phase is pure decay at
+        # alpha_S_eff from on = 34 to off = 8, so its true dwell equals the
+        # down bound; RK45 ends it 7.4e-9 days short of it, beyond 1e-9
+        sc = Scenario.from_values({**scenario.values(), "beta_A": 0.0, "beta_S": 0.0,
+                                   "IS0": 34.0})
+        dc0 = derive_constants(sc)
+        traj, _ = simulate(sc, cp8, SimConfig(horizon=200.0))
+        assert [e.u_new for e in traj.events] == [1, 0]
+        assert validate_trajectory(traj, sc, dc0, cp8).check("h").passed
 
     def test_violations_detected(self, scenario, dc):
         bad = State(S=-1.0, I_A=0.0, I_S=0.0, R=0.0, D=0.0, psi=1.0, t=0.0)
