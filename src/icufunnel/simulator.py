@@ -26,13 +26,15 @@ the knots are those of a solve to the horizon, cut at the guard.
 Open-loop runs fix the input and arm no guard, so their one solve reaches
 the horizon.
 
-solve_ivp drives each phase, and the RK45 subclass _StopAtGuard takes its
-steps with its own copy of scipy 1.17.1's RungeKutta._step_impl, which
-calls the phase's right-hand side directly: scipy wraps each of a step's 6
-stage evaluations in two Python calls and an np.asarray. The copy keeps
-every numpy operation and their order, so each knot is scipy's bit for bit;
-TestPhaseSolves, TestDenseOutput and TestStepReplica catch a scipy that
-steps differently.
+The module's own solve_ivp drives each phase: scipy 1.17.1's RK45 (the
+Dormand-Prince 5(4) pair, Hairer, Norsett & Wanner, Solving ODEs I,
+II.4-II.5), its initial-step rule, its step and the loop of its
+solve_ivp, with the tableau as literals. It keeps every numpy operation of
+scipy's step and their order, so each knot is scipy's bit for bit, and
+does the rest on Python floats; it calls the phase's right-hand side
+directly, where scipy wraps each of a step's 6 stage evaluations in two
+Python calls and an np.asarray. TestPhaseSolves, TestDenseOutput and
+TestStepReplica compare it with scipy's RK45, which only the tests need.
 
 Each phase is sampled from its steps' dense output, which the guard keeps
 as the solver accepts each step (the interpolant scipy's OdeSolution would
@@ -66,8 +68,9 @@ which may leave the solution's domain (D > N in a stiff run with rho near
 per run, and Scenario owns N - D0 > 0. Python float arithmetic rounds an
 overflow to inf without an error, so an overflow inside the right-hand
 side surfaces in the solver's numpy operations, which run under np.errstate
-and raise; a Python division by zero raises ZeroDivisionError. simulate
-reports every such ArithmeticError as IntegrationError.
+and raise, or, in the start derivative of a phase, in solve_ivp's one check
+of it; a Python division by zero raises ZeroDivisionError. simulate reports
+every such ArithmeticError as IntegrationError.
 
 A run's samples are stored as columns, never as rows: simulate keeps each
 phase's (6, k) block from _dense_rows and its closing column, and joins
@@ -75,13 +78,10 @@ them once at the end into a _Samples(t, y). validate_trajectory masks those
 columns and the CLI's CSV writer reads them; a State row is built only for
 a reader who indexes or iterates Trajectory.samples.
 
-scipy is imported on the first solve, not with the package: the certifying
-commands never integrate, and importing scipy.integrate costs most of the
-package's start-up. The module __getattr__ (PEP 562) imports it on the
-first lookup of solve_ivp or of the RK45 subclass _StopAtGuard and binds
-both as module attributes. simulate looks them up through the module at
-call time, so a replaced solve_ivp (a test's spy, a tracer's wrapper) is
-the one it calls.
+The package needs numpy alone: importing scipy.integrate would cost a fresh
+process more than the run itself. simulate calls solve_ivp as a module
+global, looked up at each call, so a replaced solve_ivp (a test's spy, a
+tracer's wrapper) is the one it calls.
 """
 
 from __future__ import annotations
@@ -113,6 +113,7 @@ __all__ = [
     "IntegrationError",
     "PreconditionError",
     "simulate",
+    "solve_ivp",
     "validate_trajectory",
     "input_cost",
 ]
@@ -133,94 +134,141 @@ class PreconditionError(ValueError):
     """A closed-loop run was started outside its guaranteed-start set."""
 
 
-def __getattr__(name: str):
-    """Import scipy's solver on first use and bind solve_ivp and _StopAtGuard.
+# scipy 1.17.1's RK45, the Dormand-Prince 5(4) pair: each later stage's time
+# fraction c and row of A, the weights B of the step and E of its error
+# estimate, the dense-output matrix P, and the step-size factors
+_STAGES = (
+    (1/5, np.array([1/5])),
+    (3/10, np.array([3/40, 9/40])),
+    (4/5, np.array([44/45, -56/15, 32/9])),
+    (8/9, np.array([19372/6561, -25360/2187, 64448/6561, -212/729])),
+    (1.0, np.array([9017/3168, -355/33, 46732/5247, 49/176, -5103/18656])),
+)
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5  # -1 / (the error estimate's order + 1)
 
-    Python calls this only for a name the module does not hold yet, and a
-    name already bound (replaced, say) is kept.
+# One solve's outcome: the fields of scipy's OdeResult that a caller reads.
+_Solution = namedtuple("_Solution", "t y success status message nfev")
+# One accepted RK45 step's dense output: the fields of scipy's RkDenseOutput.
+_Step = namedtuple("_Step", "t_old h y_old Q")
+
+
+def _norm(x: np.ndarray):
+    """The RMS norm, as scipy's first-step rule forms it."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0: float, y0: np.ndarray, f0: np.ndarray, t_bound: float,
+                  rtol: float, atol: float):
+    """scipy 1.17.1's select_initial_step for RK45 forward from t0, with no step cap.
+
+    The rule of Hairer, Norsett & Wanner (Solving ODEs I, II.4): a trial
+    step h0 from the sizes of y0 and f0, one evaluation at t0 + h0, and a
+    step that makes the error estimate's order-5 term about 0.01, at most
+    100 h0 and never past t_bound.
     """
-    if name not in ("solve_ivp", "_StopAtGuard"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.integrate import RK45, solve_ivp
-    from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
+    interval_length = t_bound - t0
+    scale = atol + np.abs(y0) * rtol
+    d0 = _norm(y0 / scale)
+    d1 = _norm(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = np.asarray(fun(t0 + h0, y0 + h0 * f0))
+    d2 = _norm((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length)
 
-    class _StopAtGuard(RK45):
-        """RK45 that finishes at the first accepted step for which guard holds.
 
-        guard(t_new, y_new, dense) gets each accepted step's end time (a
-        Python float) and new state, both the solver's own, and its dense
-        output, a _Step holding what scipy's RkDenseOutput would (the
-        interpolant OdeSolution would hold). t_bound stays the caller's end
-        point, so every step size, knot and dense-output segment up to that
-        knot is the one a plain RK45 solve over the same span would take.
+def solve_ivp(fun, t_span, y0, *, guard, rtol: float, atol: float) -> _Solution:
+    """Integrate y' = fun(t, y) forward over t_span = (t0, t_bound) with RK45.
 
-        _step_impl is scipy 1.17.1's RungeKutta._step_impl with rk_step
-        inlined: the same numpy operations in the same order (np.dot as
-        ndarray.dot, the same routine), on the raw right-hand side fun. It
-        skips what scipy wraps around each of a step's 6 stage evaluations
-        (fun_wrapped's np.asarray, OdeSolver.fun's counter, the rk_step
-        call) and, per step, np.linalg.norm and the RkDenseOutput; that
-        takes about a quarter off a 1,000-day closed-loop run. Python
-        scalars replace numpy ones only where they give the same bits:
-        math.sqrt(err.dot(err)) is np.linalg.norm's own path, then
-        math.nextafter and abs. nfev still counts every evaluation. The one
-        departure: a nan step size (from a nan start derivative) ends as
-        TOO_SMALL_STEP, where scipy's loop would spin on it forever. A scipy
-        that steps differently breaks TestPhaseSolves, TestDenseOutput and
-        TestStepReplica, which compare against plain RK45.
-        """
+    The steps are those of scipy 1.17.1's solve_ivp(fun, t_span, y0,
+    method="RK45", rtol=rtol, atol=atol), bit for bit: the same initial
+    step (_initial_step), and per step the numpy operations of its
+    RungeKutta._step_impl in the same order, since each dot and its order
+    fix the bits. Around them the arithmetic is on Python floats (t, h,
+    h_abs, the stage times t + c * h, the error norm), which give the same
+    bits, and fun is called directly, without scipy's wrapping of each of a
+    step's 6 evaluations. TestStepReplica compares the two.
 
-        def __init__(self, fun, t0, y0, t_bound, *, guard, **options):
-            super().__init__(fun, t0, y0, t_bound, **options)
-            self.rhs = fun
-            self.guard = guard
-            K = self.K  # rk_step's operands, as views of the stage rows
-            self.stages = [(self.C[s], K[:s].T, self.A[s, :s]) for s in range(1, self.n_stages)]
-            self.K_head = K[:-1].T
+    The solve ends at t_bound, or at the first accepted step for which
+    guard(t_new, y_new, dense) holds; guard gets the step's end time, its
+    new state and its dense output, a _Step holding what scipy's
+    RkDenseOutput would. Step sizes are chosen against t_bound either way.
+    Returns a _Solution: the knots t, the states y as columns, success,
+    status (0 at t_bound, 1 where guard held, -1 on failure), message and
+    nfev, the number of evaluations of fun. A step size that falls below
+    10 float spacings of t, or is nan (from a nan derivative, on which
+    scipy's loop would spin forever), fails the solve.
 
-        def _step_impl(self):
-            t, y, K, rhs, direction = self.t, self.y, self.K, self.rhs, self.direction
-            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-            h_abs = self.max_step if self.h_abs > self.max_step else max(self.h_abs, min_step)
-            K[0] = self.f  # no stage writes row 0, so a retry keeps it
-            step_rejected = False
-            while True:
-                # not >=, unlike scipy's h_abs < min_step: a nan step ends here too
-                if not h_abs >= min_step:
-                    return False, self.TOO_SMALL_STEP
-                h = h_abs * direction
-                t_new = t + h
-                if direction * (t_new - self.t_bound) > 0:
-                    t_new = self.t_bound
-                h = t_new - t
-                h_abs = abs(h)
-                for s, (c, K_s, a) in enumerate(self.stages, 1):
-                    K[s] = rhs(t + c * h, y + K_s.dot(a) * h)
-                y_new = y + h * self.K_head.dot(self.B)
-                K[-1] = f_new = rhs(t + h, y_new)
-                self.nfev += self.n_stages
-                scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-                err = K.T.dot(self.E) * h / scale
-                error_norm = math.sqrt(err.dot(err)) / self.n ** 0.5
-                if error_norm < 1:
-                    break
-                h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
-                step_rejected = True
-            factor = MAX_FACTOR if error_norm == 0 else min(
-                MAX_FACTOR, SAFETY * error_norm ** self.error_exponent)
-            self.h_abs = h_abs * (min(1, factor) if step_rejected else factor)
-            self.h_previous = h
-            self.y_old = y
-            self.t = t_new
-            self.y = y_new
-            self.f = f_new
-            if self.guard(float(t_new), y_new, _Step(t, h, y, K.T.dot(self.P))):
-                self.status = "finished"
-            return True, None
-
-    globals().setdefault("solve_ivp", solve_ivp)
-    globals().setdefault("_StopAtGuard", _StopAtGuard)
-    return globals()[name]
+    Raises:
+        ValueError: t0 is not below t_bound.
+        FloatingPointError: the derivative at t0 has an infinite
+            component (an overflow in fun, which Python floats round to inf
+            without an error). It is checked once per solve, not per stage.
+    """
+    t, t_bound = map(float, t_span)
+    if not t < t_bound:
+        raise ValueError(f"solve_ivp integrates forward only, got t_span {t_span!r}")
+    y = np.asarray(y0, dtype=float)
+    f = np.asarray(fun(t, y))
+    if np.isinf(f).any():
+        raise FloatingPointError("overflow encountered in the start derivative")
+    h_abs = float(_initial_step(fun, t, y, f, t_bound, rtol, atol))
+    nfev = 2
+    K = np.empty((7, y.size))
+    stages = [(c, K[:s].T, a) for s, (c, a) in enumerate(_STAGES, 1)]  # views of K's rows
+    K_head = K[:-1].T
+    n_root = y.size ** 0.5
+    ts, ys = [t], [y]
+    status, message = 0, "The solver successfully reached the end of the integration interval."
+    while t < t_bound:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        K[0] = f  # no stage writes row 0, so a retry keeps it
+        step_rejected = False
+        while h_abs >= min_step:  # false for a nan step size too
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            for s, (c, K_s, a) in enumerate(stages, 1):
+                K[s] = fun(t + c * h, y + K_s.dot(a) * h)
+            y_new = y + h * K_head.dot(_B)
+            K[-1] = f_new = fun(t + h, y_new)
+            nfev += 6
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = K.T.dot(_E) * h / scale
+            error_norm = math.sqrt(err.dot(err)) / n_root  # np.linalg.norm's own path
+            if error_norm < 1:
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
+            step_rejected = True
+        else:
+            status, message = -1, "Required step size is less than spacing between numbers."
+            break
+        factor = MAX_FACTOR if error_norm == 0 else min(
+            MAX_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
+        h_abs *= min(1, factor) if step_rejected else factor
+        dense = _Step(t, h, y, K.T.dot(_P))
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+        if guard(t, y, dense):
+            status, message = 1, "A termination event occurred."
+            break
+    return _Solution(np.array(ts), np.array(ys).T, status >= 0, status, message, nfev)
 
 
 @dataclass(frozen=True)
@@ -233,8 +281,9 @@ class SimConfig:
     the controller entirely. event_time_tol may be any positive value: a
     switch is located to within it, or to adjacent floats when it is below
     the float spacing there. rtol must be at least 100 times the machine
-    epsilon (2.220446049250313e-14), the floor below which scipy would
-    raise it with a warning. The run-length cap MAX_STEPS is a module
+    epsilon (2.220446049250313e-14), the floor of the solver's error
+    control (scipy's RK45 raises a smaller one to it, with a warning). The
+    run-length cap MAX_STEPS is a module
     constant, not a setting: horizon / output_dt (the grid rows) and the
     horizon in days must not pass it, and simulate raises IntegrationError
     once the solver has accepted more than MAX_STEPS steps in the run. That
@@ -267,7 +316,7 @@ class SimConfig:
         for name in ("rtol", "atol", "event_time_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        if self.rtol < 100 * sys.float_info.epsilon:  # scipy's floor, enforced there by a warning
+        if self.rtol < 100 * sys.float_info.epsilon:  # the solver's floor
             raise ValueError("rtol must be >= 100 * machine epsilon = "
                              f"{100 * sys.float_info.epsilon!r}, got {self.rtol!r}")
         if self.open_loop_u not in (None, 0, 1):
@@ -467,7 +516,6 @@ def simulate(
     if pm.rho >= 1.0:
         raise ValueError("rho must be < 1 to form the symptomatic removal rate")
 
-    this = sys.modules[__name__]  # solve_ivp and _StopAtGuard, as bound now
     events: list[SwitchEvent] = []
     if open_loop:
         u = int(cfg.open_loop_u)  # type: ignore[arg-type]
@@ -511,10 +559,8 @@ def simulate(
             # an overflow or nan would otherwise only warn, and RK45 keeps stepping on
             # nan; a Python float division by zero raises ZeroDivisionError on its own
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                sol = this.solve_ivp(
-                    rhs, (t_cur, cfg.horizon), y_cur, method=this._StopAtGuard, guard=guard,
-                    rtol=cfg.rtol, atol=cfg.atol,
-                )
+                sol = solve_ivp(rhs, (t_cur, cfg.horizon), y_cur, guard=guard,
+                                rtol=cfg.rtol, atol=cfg.atol)
         except ArithmeticError as exc:
             raise IntegrationError(f"floating-point error after t = {t_cur!r}: {exc}") from exc
         if not sol.success:
@@ -532,7 +578,7 @@ def simulate(
         t_blocks += (ts, [t_end])
         y_blocks += (ys, y_end[:, None])
         steps_left -= len(steps)
-        steps.clear()  # the solver lingers in a reference cycle until a collection
+        steps.clear()  # the next phase keeps its own steps
         phase_is = np.concatenate((sol.y[2][sol.t <= t_end], ys[2], y_end[2:3]))
         max_is = max(max_is, float(phase_is.max()))
         if t_switch is None:
@@ -563,9 +609,6 @@ def simulate(
     )
     return traj, report
 
-
-# One accepted RK45 step's dense output: the fields of scipy's RkDenseOutput.
-_Step = namedtuple("_Step", "t_old h y_old Q")
 
 
 def _dense_at(dense, t: float) -> np.ndarray:

@@ -386,7 +386,7 @@ class TestSimulateCommand:
         assert "open_loop_u must be 0, 1 or None, got 2" in capsys.readouterr().err
 
     def test_overflowing_start_is_one_line(self, tmp_path, scenario, capsys):
-        # scipy's first-step norm overflows on IA0 = 1e300
+        # the solver's first-step norm overflows on IA0 = 1e300
         text = scenario_file_text(scenario).replace("IA0 = 49.0", "IA0 = 1e300")
         with warnings.catch_warnings():
             warnings.simplefilter("error")

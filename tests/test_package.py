@@ -7,6 +7,7 @@ from pathlib import Path
 
 import icufunnel
 from icufunnel import analysis, constants, controller, model, simulator
+from test_cli import GOLDEN
 
 MODULES = (model, constants, controller, simulator, analysis)
 
@@ -48,31 +49,26 @@ def test_modules_import_in_layers():
                         f"{name}.py line {node.lineno} imports .{target}")
 
 
-# One fresh interpreter: the certifying commands run without scipy, the first
-# lookup of simulator.solve_ivp imports it, and simulate calls it.
-DEFERRED_SCIPY = """
+# One fresh interpreter with scipy blocked (an import of it, or of any of its
+# modules, raises ImportError): the certifying commands and a closed-loop
+# simulate run on numpy alone.
+WITHOUT_SCIPY = """
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
-import icufunnel, icufunnel.cli
-from icufunnel import cli, simulator
+sys.modules["scipy"] = None
+from icufunnel import cli
 
 path = str(cli.bundled_scenario_path())
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["constants", path], ["feasible", path], ["robust", path, "--samples", "8"]):
         cli.main(argv)
-assert "scipy" not in sys.modules, "the certifying commands imported scipy"
-solve_ivp = getattr(simulator, "solve_ivp")
-assert "scipy.integrate" in sys.modules
-import scipy.integrate
-assert solve_ivp is scipy.integrate.solve_ivp
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["simulate", path, "--horizon", "30"]) == 0
-assert simulator.solve_ivp is scipy.integrate.solve_ivp
+sys.exit(cli.main(["simulate", path, "--horizon", "30", "--eps-plus", "10", "--eps-minus", "8"]))
 """
 
 
-def test_scipy_is_imported_on_the_first_simulation():
+def test_commands_run_without_scipy():
     src = str(Path(icufunnel.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", DEFERRED_SCIPY, src],
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, src],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    assert done.stdout == GOLDEN["simulate"]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from icufunnel import (
     ControllerParams,
@@ -256,11 +256,12 @@ class TestOpenLoop:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Every solve_ivp call of simulate, as (fun, t_span, y0, keywords, result)."""
+    """Every simulator.solve_ivp call of simulate, as (fun, t_span, y0, keywords, result)."""
     calls = []
+    original = simulator.solve_ivp
 
     def spy(fun, t_span, y0, **kw):
-        sol = solve_ivp(fun, t_span, y0, **kw)
+        sol = original(fun, t_span, y0, **kw)
         calls.append((fun, t_span, np.array(y0), kw, sol))
         return sol
 
@@ -303,7 +304,7 @@ class TestPhaseSolves:
         simulate(scenario, cp8, SimConfig())
         for fun, t_span, y0, kw, sol in solves:
             assert t_span[1] == 1000.0
-            plain_kw = {k: v for k, v in kw.items() if k not in ("method", "guard")}
+            plain_kw = {k: v for k, v in kw.items() if k != "guard"}
             plain = solve_ivp(fun, t_span, y0, method="RK45", **plain_kw)
             n = len(sol.t)
             assert np.array_equal(sol.t, plain.t[:n])
@@ -587,7 +588,7 @@ class TestDenseOutput:
         traj, _ = simulate(scenario, cp, cfg)
         event_ts = [ev.t for ev in traj.events]
         for fun, t_span, y0, kw, sol in solves:
-            plain_kw = {k: v for k, v in kw.items() if k not in ("method", "guard")}
+            plain_kw = {k: v for k, v in kw.items() if k != "guard"}
             dense = solve_ivp(fun, t_span, y0, method="RK45", dense_output=True, **plain_kw).sol
             t_end = min((t for t in event_ts if t > t_span[0]), default=cfg.horizon)
             inside = [s for s in traj.samples if t_span[0] < s.t < t_end]
@@ -624,15 +625,27 @@ _START_AND_RATES = st.fixed_dictionaries({
 })
 
 
-class TestStepReplica:
-    """_StopAtGuard's own step takes plain RK45's steps, bit for bit.
+# A random draw over model._RANGES whose 264th attempted step overshoots:
+# its error norm, 1,883.5, passes (SAFETY / MIN_FACTOR)**5, about 1,845, so
+# the MIN_FACTOR clamp cuts it.
+_CLAMPED = dict(
+    beta_A=0.770684798983071, beta_S=0.10898555213649419, alpha_A=0.9459307675537619,
+    alpha_S=0.6745707526164916, p=0.06249576206556828, rho=0.7536927938931154,
+    gamma_0=0.9719037368942256, gamma_1=0.8377476422704673, psi_bar=0.009784879294458815,
+    gamma_K=0.4730889081790549, S0=58917.377395941985, IA0=88799.86937026282,
+    IS0=50276.04854148191, R0=7732.381538240052, D0=93352.5505036036,
+    psi0=0.9517357978163641)
 
-    With a guard that never fires, a solve must give scipy's knots, states
-    and evaluation count, rejected steps included.
+
+class TestStepReplica:
+    """simulator.solve_ivp takes plain RK45's steps, bit for bit.
+
+    With a guard that never fires, a solve must give scipy's knots, states,
+    evaluation count and outcome, rejected steps included.
     """
 
     @staticmethod
-    def assert_steps_match(sc, u, rtol, **options):
+    def assert_steps_match(sc, u, rtol, method=RK45):
         pm, N = sc.params, sc.population()
 
         def rhs(t, y):  # simulate's right-hand side for input u
@@ -640,10 +653,9 @@ class TestStepReplica:
             return derivatives(S, I_A, I_S, D, psi, u, pm, N)
 
         y0 = np.array([sc.init.S0, sc.init.IA0, sc.init.IS0, sc.init.R0, sc.init.D0, sc.init.psi0])
-        kw = dict(rtol=rtol, atol=SimConfig().atol, **options)
-        ours = solve_ivp(rhs, (0.0, 60.0), y0, method=simulator._StopAtGuard,
-                         guard=lambda t, y, dense: False, **kw)
-        plain = solve_ivp(rhs, (0.0, 60.0), y0, method="RK45", **kw)
+        kw = dict(rtol=rtol, atol=SimConfig().atol)
+        ours = simulator.solve_ivp(rhs, (0.0, 60.0), y0, guard=lambda t, y, dense: False, **kw)
+        plain = solve_ivp(rhs, (0.0, 60.0), y0, method=method, **kw)
         # the same outcome, a failure included: both may stop short of the end
         assert (ours.status, ours.message) == (plain.status, plain.message)
         assert np.array_equal(ours.t, plain.t)
@@ -651,19 +663,25 @@ class TestStepReplica:
         assert ours.nfev == plain.nfev
         return ours
 
-    # A fast outbreak rejects a step on its own, capped at a day or not. A
-    # whole-day first step at rtol 1e-8 overshoots: its error norm passes
-    # (SAFETY / MIN_FACTOR)**5, about 1,845, so the MIN_FACTOR clamp cuts it.
-    @pytest.mark.parametrize("u, rtol, options", [
-        (0, 1e-6, {"max_step": 1.0}),
-        (1, 1e-8, {"max_step": 1.0, "first_step": 1.0}),
-        (0, 1e-6, {}),
-    ], ids=["natural", "whole_day_first_step", "natural_uncapped"])
-    def test_rejected_steps_match(self, u, rtol, options):
-        sol = self.assert_steps_match(make_scenario(beta_A=1.0, beta_S=1.0), u, rtol, **options)
+    # A fast outbreak rejects a step on its own; _CLAMPED reaches the clamp.
+    @pytest.mark.parametrize("values, u, rtol", [
+        (dict(beta_A=1.0, beta_S=1.0), 0, 1e-6),
+        (_CLAMPED, 0, 1e-8),
+    ], ids=["natural_uncapped", "min_factor_clamp"])
+    def test_rejected_steps_match(self, values, u, rtol):
+        norms = []
+
+        class Recording(RK45):  # plain RK45, keeping each attempted step's error norm
+            def _estimate_error_norm(self, *args):
+                norms.append(float(super()._estimate_error_norm(*args)))
+                return norms[-1]
+
+        sol = self.assert_steps_match(make_scenario(**values), u, rtol, method=Recording)
         assert sol.success
-        # 2 evaluations to start (1 with a first_step), then 6 per attempted step
+        # 2 evaluations to start, then 6 per attempted step
         assert sol.nfev > 6 * (len(sol.t) - 1) + 2
+        clamp = (simulator.SAFETY / simulator.MIN_FACTOR) ** 5
+        assert (max(norms) > clamp) == (values is _CLAMPED)
 
     @settings(max_examples=60, deadline=None)
     @given(values=_START_AND_RATES, u=st.sampled_from([0, 1]),
@@ -732,15 +750,31 @@ class TestEventEdgeCases:
         assert traj.u0 == 0
 
     def test_overflow_is_integration_error(self):
-        # scipy's first-step norm overflows; the run must not warn and go on
+        # the first-step norm overflows; the run must not warn and go on
         with pytest.raises(IntegrationError, match="overflow"):
             simulate(make_scenario(IA0=1e300), None, SimConfig(open_loop_u=0, horizon=5.0))
 
     def test_rhs_overflow_is_integration_error(self):
-        # Python floats overflow to inf silently; the solver's numpy
-        # operations, under np.errstate, raise on what follows
+        # Python floats overflow to inf silently, here in the start derivative
         with pytest.raises(IntegrationError, match=r"^floating-point error after t = 0\.0: "):
             simulate(make_scenario(S0=1.7e308), None, SimConfig(open_loop_u=0, horizon=5.0))
+
+    def test_start_derivative_overflow_is_named(self):
+        # the force of infection times S overflows to inf in dS, and each
+        # phase checks its start derivative once, before the first step
+        with pytest.raises(IntegrationError, match="^" + re.escape(
+                "floating-point error after t = 0.0: overflow encountered in the start "
+                "derivative") + "$"):
+            simulate(make_scenario(S0=1.7e308), None, SimConfig(open_loop_u=0, horizon=5.0))
+        with pytest.raises(FloatingPointError, match="^overflow encountered in the start"):
+            simulator.solve_ivp(lambda t, y: (math.inf, 0.0), (0.0, 1.0), [1.0, 1.0],
+                                guard=None, rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("t_span", [(1.0, 1.0), (1.0, 0.0)], ids=["empty", "backward"])
+    def test_solver_integrates_forward_only(self, t_span):
+        with pytest.raises(ValueError, match="^solve_ivp integrates forward only"):
+            simulator.solve_ivp(lambda t, y: (0.0,), t_span, [1.0], guard=None,
+                                rtol=1e-8, atol=1e-10)
 
     def test_rhs_zero_division_is_integration_error(self, scenario, monkeypatch):
         # a Python float division by zero (N - D exactly 0 at a trial stage)
