@@ -19,8 +19,9 @@ threshold, and one whose knot fires ends at the knot when its slope keeps
 one sign. A bisection midpoint is decided on the polynomial's Horner
 value, and only one within rounding of the threshold on _dense_at's, so
 every decision, and so every located time, is the one _dense_at gives.
-The solve stops at the first step that switches; the phase is truncated
-at the bracket's crossed end, the mode flips, and integration restarts.
+The solve stops at the first step that switches, and returns the bracket's
+crossed end as its t_cut; the phase is truncated there, the mode flips, and
+integration restarts.
 Step sizes are chosen against the horizon as the solver's end point, so
 the knots are those of a solve to the horizon, cut at the guard.
 Open-loop runs fix the input and arm no guard, so their one solve reaches
@@ -36,25 +37,25 @@ directly, where scipy wraps each of a step's 6 stage evaluations in two
 Python calls and an np.asarray. TestPhaseSolves, TestDenseOutput and
 TestStepReplica compare it with scipy's RK45, which only the tests need.
 
-Each phase is sampled from its steps' dense output, which the guard keeps
-as the solver accepts each step (the interpolant scipy's OdeSolution would
-hold; solve_ivp builds none). The crossing and the closing sample (an event
-or the horizon; that state also starts the next phase) lie on the last step,
-and _dense_at evaluates them with scipy's scalar arithmetic minus its array
-wrapping. The output-grid samples inside the phase go to the steps
-OdeSolution would pick, and _dense_rows evaluates all steps holding k of
-them in one stacked product. Both give OdeSolution's bits, so every sample
+Each phase is sampled from its steps' dense output, which solve_ivp returns
+with its knots (the interpolants scipy's OdeSolution would hold; solve_ivp
+builds none). The crossing and the closing sample (an event or the horizon;
+that state also starts the next phase) lie on the last step, and _dense_at
+evaluates them with scipy's scalar arithmetic minus its array wrapping.
+The output-grid samples inside the phase go to the steps OdeSolution would
+pick, and _dense_rows evaluates all steps holding k of them in one stacked
+product. Both give OdeSolution's bits, so every sample
 and event time is the one a scipy call gives. The grid is the multiples of
 output_dt that do not pass the horizon, plus the horizon.
 RK45 chooses its step sizes with no cap: the guard reads the whole of each
 step's interpolant, so no crossing hides between two knots however far
 apart they are. The one budget of a run, on its grid rows and its solver
 steps, is the module constant MAX_STEPS, not a setting. SimConfig checks
-the grid rows and the horizon in days up front; the guard counts the
-steps the solver accepts, since a stiff system (rho near 1) takes far
-more steps than days. Every phase takes at least one accepted step, so
-the same budget bounds the switch count too: a chattering run ends in
-IntegrationError.
+the grid rows and the horizon in days up front; the guard checks the
+steps the solver accepts against what the earlier phases left of the
+budget, since a stiff system (rho near 1) takes far more steps than days.
+Every phase takes at least one accepted step, so the same budget bounds
+the switch count too: a chattering run ends in IntegrationError.
 Trajectories are validated after the fact against the analytically
 provable path properties, each check one mask over the sample columns.
 
@@ -157,8 +158,10 @@ _P = np.array([
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / 5  # -1 / (the error estimate's order + 1)
 
-# One solve's outcome: the fields of scipy's OdeResult that a caller reads.
-_Solution = namedtuple("_Solution", "t y success status message nfev")
+# One solve's outcome: the fields of scipy's OdeResult that a caller reads, the
+# dense output of each accepted step, and where the guard cut the last one
+# (None when the solve reached t_bound or failed).
+_Solution = namedtuple("_Solution", "t y success status message nfev steps t_cut")
 # One accepted RK45 step's dense output: the fields of scipy's RkDenseOutput.
 _Step = namedtuple("_Step", "t_old h y_old Q")
 
@@ -204,13 +207,17 @@ def solve_ivp(fun, t_span, y0, *, guard, rtol: float, atol: float) -> _Solution:
     bits, and fun is called directly, without scipy's wrapping of each of a
     step's 6 evaluations. TestStepReplica compares the two.
 
-    The solve ends at t_bound, or at the first accepted step for which
-    guard(t_new, y_new, dense) holds; guard gets the step's end time, its
-    new state and its dense output, a _Step holding what scipy's
-    RkDenseOutput would. Step sizes are chosen against t_bound either way.
+    After each accepted step the solve calls guard(n, t_new, y_new, dense):
+    n is the number of steps accepted so far in this solve, then come the
+    step's end time, its new state and its dense output, a _Step holding
+    what scipy's RkDenseOutput would, on the driver's Python floats. guard
+    returns None to go on, or a time, where it cuts the phase, to end the
+    solve at that step. Step sizes are chosen against t_bound either way.
     Returns a _Solution: the knots t, the states y as columns, success,
-    status (0 at t_bound, 1 where guard held, -1 on failure), message and
-    nfev, the number of evaluations of fun. A step size that falls below
+    status (0 at t_bound, 1 where guard cut, -1 on failure), message,
+    nfev (the number of evaluations of fun), steps (the _Step of each
+    accepted step, so len(steps) == len(t) - 1) and t_cut (guard's time,
+    or None at t_bound or on failure). A step size that falls below
     10 float spacings of t, or is nan (from a nan derivative, on which
     scipy's loop would spin forever), fails the solve.
 
@@ -233,7 +240,7 @@ def solve_ivp(fun, t_span, y0, *, guard, rtol: float, atol: float) -> _Solution:
     stages = [(c, K[:s].T, a) for s, (c, a) in enumerate(_STAGES, 1)]  # views of K's rows
     K_head = K[:-1].T
     n_root = y.size ** 0.5
-    ts, ys = [t], [y]
+    ts, ys, steps, t_cut = [t], [y], [], None
     status, message = 0, "The solver successfully reached the end of the integration interval."
     while t < t_bound:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -261,14 +268,16 @@ def solve_ivp(fun, t_span, y0, *, guard, rtol: float, atol: float) -> _Solution:
         factor = MAX_FACTOR if error_norm == 0 else min(
             MAX_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
         h_abs *= min(1, factor) if step_rejected else factor
-        dense = _Step(t, h, y, K.T.dot(_P))
+        steps.append(_Step(t, h, y, K.T.dot(_P)))
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-        if guard(t, y, dense):
+        t_cut = guard(len(steps), t, y, steps[-1])
+        if t_cut is not None:
             status, message = 1, "A termination event occurred."
             break
-    return _Solution(np.array(ts), np.array(ys).T, status >= 0, status, message, nfev)
+    return _Solution(np.array(ts), np.array(ys).T, status >= 0, status, message, nfev,
+                     steps, t_cut)
 
 
 @dataclass(frozen=True)
@@ -536,8 +545,6 @@ def simulate(
     gi = 1  # grid[0] = 0 is covered by the initial column
     max_is = float(ini.IS0)
     t_cur = 0.0
-    t_switch = None  # where the guard's last step switches the relay, if it does
-    steps: list = []  # the dense output of each accepted step of the phase
     steps_left = MAX_STEPS  # accepted steps the run may still take
 
     while t_cur < cfg.horizon:
@@ -545,15 +552,12 @@ def simulate(
             S, I_A, I_S, _, D, psi = y.tolist()
             return derivatives(S, I_A, I_S, D, psi, _u, pm, N)
 
-        def guard(t_new, y_new, dense, _u=u):
-            nonlocal t_switch
-            steps.append(dense)
-            if len(steps) > steps_left:
+        def guard(n, t_new, y_new, dense, _u=u):
+            if n > steps_left:
                 raise IntegrationError(f"more than MAX_STEPS = {MAX_STEPS} solver steps "
                                        f"by t = {t_new!r}")
-            t_switch = None if open_loop else _switch_time(
+            return None if open_loop else _switch_time(
                 dense, t_new, y_new, _u, cp, cfg.event_time_tol)
-            return t_switch is not None
 
         try:
             # an overflow or nan would otherwise only warn, and RK45 keeps stepping on
@@ -568,20 +572,19 @@ def simulate(
 
         # the solve ends at the first step that switches, or else at the
         # horizon, where the last step may switch too
-        t_end = cfg.horizon if t_switch is None else t_switch
+        t_end = cfg.horizon if sol.t_cut is None else sol.t_cut
         # grid columns strictly inside the phase, then the closing column,
         # which also starts the next phase
         gj = bisect_left(grid, t_end, gi)
         ts = grid[gi:gj]
-        ys = _dense_rows(steps, sol.t, ts)
-        y_end = _dense_at(steps[-1], t_end)
+        ys = _dense_rows(sol.steps, sol.t, ts)
+        y_end = _dense_at(sol.steps[-1], t_end)
         t_blocks += (ts, [t_end])
         y_blocks += (ys, y_end[:, None])
-        steps_left -= len(steps)
-        steps.clear()  # the next phase keeps its own steps
+        steps_left -= len(sol.steps)
         phase_is = np.concatenate((sol.y[2][sol.t <= t_end], ys[2], y_end[2:3]))
         max_is = max(max_is, float(phase_is.max()))
-        if t_switch is None:
+        if sol.t_cut is None:
             break
         gi = bisect_right(grid, t_end, gj)  # the closing column takes an equal grid time's place
         u = 1 - u
@@ -589,6 +592,7 @@ def simulate(
         y_cur = y_end
         t_cur = t_end
 
+    del sol  # the last phase's steps, freed before the blocks are joined
     samples = _Samples(np.concatenate(t_blocks), np.concatenate(y_blocks, axis=1))
     traj = Trajectory(samples=samples, events=tuple(events), u0=u0)
 
@@ -619,8 +623,8 @@ def _dense_at(dense, t: float) -> np.ndarray:
     one gemv against Q, scaled by h and added to y_old; without the array
     wrapping of a scipy call, which costs about four times as much.
     """
-    h = float(dense.h)
-    x = (t - float(dense.t_old)) / h
+    h = dense.h
+    x = (t - dense.t_old) / h
     x2 = x * x
     x3 = x2 * x
     return h * np.dot(dense.Q, np.array((x, x2, x3, x3 * x))) + dense.y_old
@@ -640,7 +644,7 @@ def _extrema(dense) -> list[float]:
     _switch_time's slack, so no crossing it resolves is lost.
     """
     a1, a2, a3, a4 = dense.Q[2].tolist()
-    h, t_old = float(dense.h), float(dense.t_old)
+    h, t_old = dense.h, dense.t_old
     roots = np.roots((4 * a4, 3 * a3, 2 * a2, a1)).tolist()
     return [t_old + x * h
             for x in sorted(r.real for r in roots if r.imag == 0.0 and 0.0 < r.real < 1.0)]
@@ -685,7 +689,7 @@ def _switch_time(dense, t_new: float, y_new, u: int, cp: ControllerParams,
     mode 1 exactly where I_S is at or below the off threshold.
     """
     a1, a2, a3, a4 = dense.Q[2].tolist()
-    h, t_old, y0 = float(dense.h), float(dense.t_old), dense.y_old.item(2)
+    h, t_old, y0 = dense.h, dense.t_old, dense.y_old.item(2)
     size = abs(a1) + abs(a2) + abs(a3) + abs(a4)
     slack = 1e-12 * (abs(y0) + (abs(t_old) + h) * size)
     threshold = cp.on_threshold() if u == 0 else cp.off_threshold()

@@ -641,7 +641,9 @@ class TestStepReplica:
     """simulator.solve_ivp takes plain RK45's steps, bit for bit.
 
     With a guard that never fires, a solve must give scipy's knots, states,
-    evaluation count and outcome, rejected steps included.
+    evaluation count and outcome, rejected steps included. A guard that
+    returns a time cuts the solve at that step, and the solve returns each
+    accepted step with the knots.
     """
 
     @staticmethod
@@ -654,7 +656,7 @@ class TestStepReplica:
 
         y0 = np.array([sc.init.S0, sc.init.IA0, sc.init.IS0, sc.init.R0, sc.init.D0, sc.init.psi0])
         kw = dict(rtol=rtol, atol=SimConfig().atol)
-        ours = simulator.solve_ivp(rhs, (0.0, 60.0), y0, guard=lambda t, y, dense: False, **kw)
+        ours = simulator.solve_ivp(rhs, (0.0, 60.0), y0, guard=lambda n, t, y, dense: None, **kw)
         plain = solve_ivp(rhs, (0.0, 60.0), y0, method=method, **kw)
         # the same outcome, a failure included: both may stop short of the end
         assert (ours.status, ours.message) == (plain.status, plain.message)
@@ -702,6 +704,40 @@ class TestStepReplica:
         n = values["S0"] + values["IA0"] + values["IS0"] + values["R0"] + values["D0"]
         assume(n - values["D0"] > 0.0)
         self.assert_steps_match(make_scenario(**values), u, rtol)
+
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_guard_cuts_the_solve_and_the_steps_are_returned(self, scenario, k):
+        # the guard sees each accepted step with its count, and the first
+        # time it returns ends the solve there, as its t_cut
+        pm, N = scenario.params, scenario.population()
+
+        def rhs(t, y):
+            S, I_A, I_S, _, D, psi = y.tolist()
+            return derivatives(S, I_A, I_S, D, psi, 0, pm, N)
+
+        seen = []
+
+        def guard(n, t_new, y_new, dense):
+            seen.append(n)
+            return 0.5 * (dense.t_old + t_new) if n == k else None
+
+        ini = scenario.init
+        y0 = np.array([ini.S0, ini.IA0, ini.IS0, ini.R0, ini.D0, ini.psi0])
+        sol = simulator.solve_ivp(rhs, (0.0, 1000.0), y0, guard=guard, rtol=1e-8, atol=1e-10)
+        assert (sol.status, sol.success) == (1, True)
+        assert seen == list(range(1, k + 1))
+        assert len(sol.steps) == k == len(sol.t) - 1
+        assert sol.t_cut == 0.5 * (sol.t[-2].item() + sol.t[-1].item())
+        for i, step in enumerate(sol.steps):
+            assert type(step.t_old) is float and type(step.h) is float
+            assert step.t_old == sol.t[i]
+            assert np.array_equal(step.y_old, sol.y[:, i])
+
+        whole = simulator.solve_ivp(rhs, (0.0, 1000.0), y0, guard=lambda n, t, y, dense: None,
+                                    rtol=1e-8, atol=1e-10)
+        assert (whole.status, whole.t_cut, whole.t[-1]) == (0, None, 1000.0)
+        assert len(whole.steps) == len(whole.t) - 1
+        assert np.array_equal(whole.t[:k + 1], sol.t)
 
 
 class TestPreconditions:
@@ -831,6 +867,20 @@ class TestEventEdgeCases:
         monkeypatch.setattr(simulator, "MAX_STEPS", 1000)
         with pytest.raises(IntegrationError,
                            match=r"^more than MAX_STEPS = 1000 solver steps by t = "):
+            simulate(scenario, cp8, SimConfig())
+
+    def test_step_budget_spans_the_phases(self, solves, scenario, cp8, monkeypatch):
+        # the city's cp8 run takes 1,083 steps over its 17 phases: a budget of
+        # exactly that many lets it finish unchanged, one fewer trips on its
+        # last step, at the horizon
+        ref, _ = simulate(scenario, cp8, SimConfig())
+        assert len(solves) == 17 == len(ref.events) + 1
+        assert sum(len(sol.steps) for *_, sol in solves) == 1083
+        monkeypatch.setattr(simulator, "MAX_STEPS", 1083)
+        assert simulate(scenario, cp8, SimConfig())[0].events == ref.events
+        monkeypatch.setattr(simulator, "MAX_STEPS", 1082)
+        with pytest.raises(IntegrationError, match="^" + re.escape(
+                "more than MAX_STEPS = 1082 solver steps by t = 1000.0") + "$"):
             simulate(scenario, cp8, SimConfig())
 
     def test_step_budget_trips(self, monkeypatch):
