@@ -275,9 +275,9 @@ def derivatives(
 
     Single source of truth for the arithmetic; the simulator calls it on
     each solver stage. R does not feed back, so it is not an argument.
-    The simulator passes Python floats, unpacked from the stage's state
-    with one tolist(): numpy scalars give the same bits for + - * / but
-    cost about twice as much per operation.
+    The simulator passes Python floats, unpacked from the list of Python
+    floats its solver hands each stage: numpy scalars give the same bits
+    for + - * / but cost about twice as much per operation.
 
     It is only the formula and checks nothing. The solver also calls it at
     the trial stages of a step, which may leave the solution's domain (say

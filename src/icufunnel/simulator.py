@@ -30,12 +30,16 @@ the horizon.
 The module's own solve_ivp drives each phase: scipy 1.17.1's RK45 (the
 Dormand-Prince 5(4) pair, Hairer, Norsett & Wanner, Solving ODEs I,
 II.4-II.5), its initial-step rule, its step and the loop of its
-solve_ivp, with the tableau as literals. It keeps every numpy operation of
-scipy's step and their order, so each knot is scipy's bit for bit, and
-does the rest on Python floats; it calls the phase's right-hand side
-directly, where scipy wraps each of a step's 6 stage evaluations in two
-Python calls and an np.asarray. TestPhaseSolves, TestDenseOutput and
-TestStepReplica compare it with scipy's RK45, which only the tests need.
+solve_ivp, with the tableau as literals. It keeps on numpy only the five
+dots of scipy's step, whose summation order fixes their bits, with the same
+operands in the same order, so each knot is scipy's bit for bit. The step's
+elementwise work on its 6-element states (the stage states, the new state,
+the error scale and the scaled error) is on Python floats, which cost less
+than numpy calls on arrays that small and round + - * / alike; so are the
+times and step sizes. It calls the phase's right-hand side directly, where
+scipy wraps each of a step's 6 stage evaluations in two Python calls and an
+np.asarray. TestPhaseSolves, TestDenseOutput and TestStepReplica compare it
+with scipy's RK45, which only the tests need.
 
 Each phase is sampled from its steps' dense output, which solve_ivp returns
 with its knots (the interpolants scipy's OdeSolution would hold; solve_ivp
@@ -59,19 +63,20 @@ the switch count too: a chattering run ends in IntegrationError.
 Trajectories are validated after the fact against the analytically
 provable path properties, each check one mask over the sample columns.
 
-The right-hand side unpacks each solver stage with one tolist() and passes
-Python floats to model.derivatives: numpy scalar arithmetic costs about
-twice as much, and IEEE + - * / give the same bits on either type, so every
-knot, event and sample is unchanged. The right-hand side is only the
-formula and checks nothing: the solver also evaluates it at trial stages,
-which may leave the solution's domain (D > N in a stiff run with rho near
-1) and whose step the error test then rejects. simulate checks rho < 1 once
-per run, and Scenario owns N - D0 > 0. Python float arithmetic rounds an
-overflow to inf without an error, so an overflow inside the right-hand
-side surfaces in the solver's numpy operations, which run under np.errstate
-and raise, or, in the start derivative of a phase, in solve_ivp's one check
-of it; a Python division by zero raises ZeroDivisionError. simulate reports
-every such ArithmeticError as IntegrationError.
+solve_ivp hands each solver stage to the right-hand side as a list of
+Python floats, which it unpacks and passes to model.derivatives: numpy
+scalar arithmetic costs about twice as much, and IEEE + - * / give the same
+bits on either type, so every knot, event and sample is unchanged. The
+right-hand side is only the formula and checks nothing: the solver also
+evaluates it at trial stages, which may leave the solution's domain (D > N
+in a stiff run with rho near 1) and whose step the error test then rejects.
+simulate checks rho < 1 once per run, and Scenario owns N - D0 > 0. Python
+float arithmetic rounds an overflow to inf without an error, so an overflow
+inside the right-hand side or the step's elementwise work surfaces in the
+solver's dots, which run under np.errstate and raise, in solve_ivp's one
+check of a phase's start derivative, or in its refusal of a step whose new
+state is not finite; a Python division by zero raises ZeroDivisionError.
+simulate reports every such ArithmeticError as IntegrationError.
 
 A run's samples are stored as columns, never as rows: simulate keeps each
 phase's (6, k) block from _dense_rows and its closing column, and joins
@@ -162,7 +167,8 @@ _ERROR_EXPONENT = -1 / 5  # -1 / (the error estimate's order + 1)
 # dense output of each accepted step, and where the guard cut the last one
 # (None when the solve reached t_bound or failed).
 _Solution = namedtuple("_Solution", "t y success status message nfev steps t_cut")
-# One accepted RK45 step's dense output: the fields of scipy's RkDenseOutput.
+# One accepted RK45 step's dense output: the fields of scipy's RkDenseOutput,
+# with y_old the list of Python floats the driver steps on.
 _Step = namedtuple("_Step", "t_old h y_old Q")
 
 
@@ -186,7 +192,7 @@ def _initial_step(fun, t0: float, y0: np.ndarray, f0: np.ndarray, t_bound: float
     d1 = _norm(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = np.asarray(fun(t0 + h0, y0 + h0 * f0))
+    f1 = np.asarray(fun(t0 + h0, (y0 + h0 * f0).tolist()))
     d2 = _norm((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -200,17 +206,24 @@ def solve_ivp(fun, t_span, y0, *, guard, rtol: float, atol: float) -> _Solution:
 
     The steps are those of scipy 1.17.1's solve_ivp(fun, t_span, y0,
     method="RK45", rtol=rtol, atol=atol), bit for bit: the same initial
-    step (_initial_step), and per step the numpy operations of its
-    RungeKutta._step_impl in the same order, since each dot and its order
-    fix the bits. Around them the arithmetic is on Python floats (t, h,
-    h_abs, the stage times t + c * h, the error norm), which give the same
-    bits, and fun is called directly, without scipy's wrapping of each of a
-    step's 6 evaluations. TestStepReplica compares the two.
+    step (_initial_step), and per step the five dots of its
+    RungeKutta._step_impl (each stage's K[:s].T.dot(a), K[:-1].T.dot(B),
+    K.T.dot(E), the error's err.dot(err) and K.T.dot(P)) on numpy, with the
+    same operands in the same order, since a dot's summation order fixes
+    its bits. The rest of the step's arithmetic is elementwise and on
+    Python floats, which round + - * / as numpy does: each stage state
+    y + d * h, y_new = y + h * d, the scale atol + max(|y|, |y_new|) * rtol
+    (nan where either side is, as np.maximum gives), err = e * h / scale,
+    and t, h, h_abs, the stage times t + c * h and the error norm. fun(t, y)
+    is called directly, without scipy's wrapping of each of a step's 6
+    evaluations, and always gets y as a list of Python floats, the first
+    step rule's trial evaluation included. TestStepReplica compares the two.
 
     After each accepted step the solve calls guard(n, t_new, y_new, dense):
     n is the number of steps accepted so far in this solve, then come the
-    step's end time, its new state and its dense output, a _Step holding
-    what scipy's RkDenseOutput would, on the driver's Python floats. guard
+    step's end time, its new state (a list) and its dense output, a _Step
+    holding what scipy's RkDenseOutput would, with t_old and h Python floats
+    and y_old a list, as the driver holds them. guard
     returns None to go on, or a time, where it cuts the phase, to end the
     solve at that step. Step sizes are chosen against t_bound either way.
     Returns a _Solution: the knots t, the states y as columns, success,
@@ -225,21 +238,27 @@ def solve_ivp(fun, t_span, y0, *, guard, rtol: float, atol: float) -> _Solution:
         ValueError: t0 is not below t_bound.
         FloatingPointError: the derivative at t0 has an infinite
             component (an overflow in fun, which Python floats round to inf
-            without an error). It is checked once per solve, not per stage.
+            without an error; checked once per solve, not per stage), or a
+            step that passes the error test has a new state that is not
+            finite (an overflow in the step's Python float arithmetic,
+            which numpy would have raised under np.errstate), so no
+            accepted step holds one. A trial stage's state is not checked:
+            as in scipy, its step's error norm rejects it or not.
     """
     t, t_bound = map(float, t_span)
     if not t < t_bound:
         raise ValueError(f"solve_ivp integrates forward only, got t_span {t_span!r}")
-    y = np.asarray(y0, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    y = y0.tolist()
     f = np.asarray(fun(t, y))
     if np.isinf(f).any():
         raise FloatingPointError("overflow encountered in the start derivative")
-    h_abs = float(_initial_step(fun, t, y, f, t_bound, rtol, atol))
+    h_abs = float(_initial_step(fun, t, y0, f, t_bound, rtol, atol))
     nfev = 2
-    K = np.empty((7, y.size))
+    K = np.empty((7, len(y)))
     stages = [(c, K[:s].T, a) for s, (c, a) in enumerate(_STAGES, 1)]  # views of K's rows
     K_head = K[:-1].T
-    n_root = y.size ** 0.5
+    n_root = len(y) ** 0.5
     ts, ys, steps, t_cut = [t], [y], [], None
     status, message = 0, "The solver successfully reached the end of the integration interval."
     while t < t_bound:
@@ -251,12 +270,13 @@ def solve_ivp(fun, t_span, y0, *, guard, rtol: float, atol: float) -> _Solution:
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
             for s, (c, K_s, a) in enumerate(stages, 1):
-                K[s] = fun(t + c * h, y + K_s.dot(a) * h)
-            y_new = y + h * K_head.dot(_B)
+                K[s] = fun(t + c * h, [v + d * h for v, d in zip(y, K_s.dot(a).tolist())])
+            y_new = [v + h * d for v, d in zip(y, K_head.dot(_B).tolist())]
             K[-1] = f_new = fun(t + h, y_new)
             nfev += 6
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = K.T.dot(_E) * h / scale
+            # scale = atol + np.maximum(|y|, |y_new|) * rtol, nan where either side is
+            err = np.array([e * h / (atol + (p if p > q or p != p else q) * rtol) for e, p, q
+                            in zip(K.T.dot(_E).tolist(), map(abs, y), map(abs, y_new))])
             error_norm = math.sqrt(err.dot(err)) / n_root  # np.linalg.norm's own path
             if error_norm < 1:
                 break
@@ -265,6 +285,8 @@ def solve_ivp(fun, t_span, y0, *, guard, rtol: float, atol: float) -> _Solution:
         else:
             status, message = -1, "Required step size is less than spacing between numbers."
             break
+        if not all(map(math.isfinite, y_new)):  # Python floats overflow to inf silently
+            raise FloatingPointError(f"overflow encountered in the step to t = {t_new!r}")
         factor = MAX_FACTOR if error_norm == 0 else min(
             MAX_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
         h_abs *= min(1, factor) if step_rejected else factor
@@ -549,7 +571,7 @@ def simulate(
 
     while t_cur < cfg.horizon:
         def rhs(t, y, _u=u):
-            S, I_A, I_S, _, D, psi = y.tolist()
+            S, I_A, I_S, _, D, psi = y
             return derivatives(S, I_A, I_S, D, psi, _u, pm, N)
 
         def guard(n, t_new, y_new, dense, _u=u):
@@ -689,11 +711,11 @@ def _switch_time(dense, t_new: float, y_new, u: int, cp: ControllerParams,
     mode 1 exactly where I_S is at or below the off threshold.
     """
     a1, a2, a3, a4 = dense.Q[2].tolist()
-    h, t_old, y0 = dense.h, dense.t_old, dense.y_old.item(2)
+    h, t_old, y0 = dense.h, dense.t_old, dense.y_old[2]
     size = abs(a1) + abs(a2) + abs(a3) + abs(a4)
     slack = 1e-12 * (abs(y0) + (abs(t_old) + h) * size)
     threshold = cp.on_threshold() if u == 0 else cp.off_threshold()
-    at_knot = control_update(y_new.item(2), u, cp) != u
+    at_knot = control_update(y_new[2], u, cp) != u
     if not at_knot and (y0 + h * size + slack < threshold if u == 0
                         else y0 - h * size - slack > threshold):
         return None

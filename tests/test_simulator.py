@@ -449,7 +449,7 @@ class TestInStepGuard:
             def fires(t):
                 return control_update(float(simulator._dense_at(step, t)[2]), u, cp) != u
 
-            at_knot = control_update(y_new.item(2), u, cp) != u
+            at_knot = control_update(y_new[2], u, cp) != u
             end = next((t for t in simulator._extrema(step) if fires(t)),
                        t_new if at_knot else None)
             t_old = float(step.t_old)
@@ -651,7 +651,7 @@ class TestStepReplica:
         pm, N = sc.params, sc.population()
 
         def rhs(t, y):  # simulate's right-hand side for input u
-            S, I_A, I_S, _, D, psi = y.tolist()
+            S, I_A, I_S, _, D, psi = y
             return derivatives(S, I_A, I_S, D, psi, u, pm, N)
 
         y0 = np.array([sc.init.S0, sc.init.IA0, sc.init.IS0, sc.init.R0, sc.init.D0, sc.init.psi0])
@@ -705,6 +705,48 @@ class TestStepReplica:
         assume(n - values["D0"] > 0.0)
         self.assert_steps_match(make_scenario(**values), u, rtol)
 
+    # I_S' is nan while lo < t < hi: every attempted step with a stage there
+    # has a nan error estimate and is rejected. The city's run steps over
+    # (20, 20.1) after two rejections, and cannot cross (20, 21).
+    @pytest.mark.parametrize("lo, hi, status", [(20.0, 20.1, 0), (20.0, 21.0, -1)],
+                             ids=["stepped_over", "too_small_step"])
+    def test_nan_at_trial_stages_matches(self, scenario, lo, hi, status):
+        pm, N = scenario.params, scenario.population()
+
+        def rhs(t, y):
+            S, I_A, I_S, _, D, psi = y
+            dy = derivatives(S, I_A, I_S, D, psi, 0, pm, N)
+            return (*dy[:2], math.nan, *dy[3:]) if lo < t < hi else dy
+
+        ini = scenario.init
+        y0 = np.array([ini.S0, ini.IA0, ini.IS0, ini.R0, ini.D0, ini.psi0])
+        kw = dict(rtol=1e-8, atol=SimConfig().atol)
+        ours = simulator.solve_ivp(rhs, (0.0, 60.0), y0, guard=lambda n, t, y, dense: None, **kw)
+        plain = solve_ivp(rhs, (0.0, 60.0), y0, method=RK45, **kw)
+        assert (ours.status, ours.message) == (plain.status, plain.message)
+        assert ours.status == status
+        assert np.array_equal(ours.t, plain.t)
+        assert ours.nfev == plain.nfev > 6 * (len(ours.t) - 1) + 2  # steps were rejected
+        assert np.isfinite(ours.y).all()
+
+    def test_fun_gets_a_list_of_python_floats(self, scenario):
+        # every evaluation, the start derivative and the first-step rule's
+        # trial among them, gets the state as a list of Python floats
+        pm, N = scenario.params, scenario.population()
+        seen = []
+
+        def rhs(t, y):
+            seen.append((type(y), frozenset(map(type, y))))
+            S, I_A, I_S, _, D, psi = y
+            return derivatives(S, I_A, I_S, D, psi, 1, pm, N)
+
+        ini = scenario.init
+        y0 = np.array([ini.S0, ini.IA0, ini.IS0, ini.R0, ini.D0, ini.psi0])
+        sol = simulator.solve_ivp(rhs, (0.0, 60.0), y0, guard=lambda n, t, y, dense: None,
+                                  rtol=1e-8, atol=1e-10)
+        assert sol.success and len(seen) == sol.nfev
+        assert set(seen) == {(list, frozenset({float}))}
+
     @pytest.mark.parametrize("k", [1, 7])
     def test_guard_cuts_the_solve_and_the_steps_are_returned(self, scenario, k):
         # the guard sees each accepted step with its count, and the first
@@ -712,7 +754,7 @@ class TestStepReplica:
         pm, N = scenario.params, scenario.population()
 
         def rhs(t, y):
-            S, I_A, I_S, _, D, psi = y.tolist()
+            S, I_A, I_S, _, D, psi = y
             return derivatives(S, I_A, I_S, D, psi, 0, pm, N)
 
         seen = []
@@ -806,6 +848,26 @@ class TestEventEdgeCases:
             simulator.solve_ivp(lambda t, y: (math.inf, 0.0), (0.0, 1.0), [1.0, 1.0],
                                 guard=None, rtol=1e-8, atol=1e-10)
 
+    def test_overflow_in_the_step_ends_the_solve(self, monkeypatch):
+        # a constant derivative of 1e307 from 1.7e308, under simulate's
+        # np.errstate: fun and the step's dots stay finite, and the state
+        # passes the largest float in the step's own arithmetic on the third
+        # step, which is never accepted (with 1e308, a stage's dot overflows)
+        states = []
+
+        def guard(n, t_new, y_new, dense):
+            states.append(y_new)
+
+        with np.errstate(over="raise", invalid="raise", divide="raise"), \
+                pytest.raises(FloatingPointError):
+            simulator.solve_ivp(lambda t, y: (1e307,), (0.0, 10.0), [1.7e308], guard=guard,
+                                rtol=1e-8, atol=1e-10)
+        assert len(states) == 2 and all(math.isfinite(v) for y in states for v in y)
+        monkeypatch.setattr(simulator, "derivatives",
+                            lambda *args: (1e307, 0.0, 0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(IntegrationError, match=r"^floating-point error after t = 0\.0: "):
+            simulate(make_scenario(S0=1.7e308), None, SimConfig(open_loop_u=0, horizon=10.0))
+
     @pytest.mark.parametrize("t_span", [(1.0, 1.0), (1.0, 0.0)], ids=["empty", "backward"])
     def test_solver_integrates_forward_only(self, t_span):
         with pytest.raises(ValueError, match="^solve_ivp integrates forward only"):
@@ -848,7 +910,8 @@ class TestEventEdgeCases:
         assert rep.check("a").passed and rep.check("b").passed
 
     def test_rhs_gets_python_floats(self, scenario, cp8, monkeypatch):
-        # one tolist() per solver stage: numpy scalars cost about twice as much
+        # the solver hands each stage a list of Python floats: numpy scalars
+        # cost about twice as much
         seen = []
 
         def spy(*args):
